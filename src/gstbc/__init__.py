@@ -21,7 +21,6 @@ from .channel import (
     EquivalentChannel,
     NoiseSpec,
     ReceivedVector,
-    SymbolVector,
     build_equivalent,
     generate_channel,
     keyed_generator,
@@ -31,7 +30,6 @@ from .complexity import (
     FlopReport,
     cost_dense_sic,
     cost_recursive,
-    cost_sorted_qr,
     measure_flops,
     run_flop_report,
 )
@@ -85,11 +83,9 @@ __all__ = [
     "SingularPivot",
     "StructureViolation",
     "StructuredHermitianBlockMatrix",
-    "SymbolVector",
     "ab_adjoint",
     "cost_dense_sic",
     "cost_recursive",
-    "cost_sorted_qr",
     "ab_dense",
     "ab_from_dense",
     "ab_mul",

@@ -10,6 +10,10 @@ for each batch element the inverse is held as two (m, m) arrays `q1`,
 real in `q1` and zero in `q2`, with the lower triangle stored explicitly
 as the adjoint of the upper.
 
+The two dense references share one SIC kernel, `_masked_sic`, which
+inverts the full regularized Gram once and downdates it by rank one after
+each detected symbol.
+
 All engines take the physical channel `h` of shape (B, N, 2M) and the
 stacked received block `x` of shape (B, 2N).
 """
@@ -20,26 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveAlpha, SingularPivot
+from .channel import equivalent_channel_batch
+from .errors import PIVOT_REL_TOL, TIE_REL_TOL, NonPositiveAlpha, SingularPivot
 from .modulation import qpsk_slice_array
-
-_PIVOT_REL_TOL = 1e-12
 
 
 @dataclass
 class BatchDetection:
     decisions: np.ndarray  # (B, 2M) hard constellation points
     soft: np.ndarray  # (B, 2M) pre-slicing estimates
-
-
-def equivalent_channel_batch(h: np.ndarray) -> np.ndarray:
-    """(B, N, 2M) physical gains to (B, 2N, 2M) equivalent channels."""
-    b, n, two_m = h.shape
-    out = np.empty((b, 2 * n, two_m), dtype=np.complex128)
-    out[:, 0::2, :] = h
-    out[:, 1::2, 0::2] = np.conj(h[:, :, 1::2])
-    out[:, 1::2, 1::2] = -np.conj(h[:, :, 0::2])
-    return out
 
 
 def _check_alpha(alpha):
@@ -73,11 +66,11 @@ def _grow_inverse(r1, r2, m):
     """Layer-by-layer inverse of the compressed Gram; see `init_covariance`."""
     b = r1.shape[0]
     scale = np.mean(np.real(r1[:, np.arange(m), np.arange(m)]), axis=1)
-    tol = _PIVOT_REL_TOL * np.maximum(scale, 1e-300)
+    tol = PIVOT_REL_TOL * np.maximum(scale, 1e-300)
     q1 = np.zeros((b, m, m), dtype=np.complex128)
     q2 = np.zeros((b, m, m), dtype=np.complex128)
     lead = np.real(r1[:, 0, 0])
-    if np.any(lead <= tol):
+    if not np.all(lead > tol):
         raise SingularPivot("leading diagonal pivot vanished in a batch element")
     q1[:, 0, 0] = 1.0 / lead
     for k in range(1, m):
@@ -89,7 +82,7 @@ def _grow_inverse(r1, r2, m):
         u2 = np.einsum("bij,bj->bi", a2, v1) + np.einsum("bij,bj->bi", np.conj(a1), v2)
         beta = np.einsum("bj,bj->b", np.conj(v1), u1) + np.einsum("bj,bj->b", np.conj(v2), u2)
         denom = np.real(r1[:, k, k]) - np.real(beta)
-        if np.any(denom <= tol):
+        if not np.all(denom > tol):
             raise SingularPivot(f"covariance recursion pivot vanished at layer {k}")
         omega = 1.0 / denom
         q1[:, :k, :k] += omega[:, None, None] * (
@@ -157,7 +150,7 @@ def _detect_structured(h, x, alpha, ordered, slicer):
         # deflate the inverse
         omega = np.real(q1[:, mm - 1, mm - 1])
         scale = np.mean(np.real(q1[:, np.arange(mm), np.arange(mm)]), axis=1)
-        if np.any(omega <= _PIVOT_REL_TOL * np.maximum(scale, 1e-300)):
+        if not np.all(omega > PIVOT_REL_TOL * np.maximum(scale, 1e-300)):
             raise SingularPivot("deflation pivot vanished in a batch element")
         inv_omega = 1.0 / omega
         w1 = q1[:, : mm - 1, mm - 1].copy()
@@ -181,104 +174,77 @@ def detect_fixed_order_batch(h, x, alpha, slicer=qpsk_slice_array) -> BatchDetec
     return _detect_structured(h, x, alpha, False, slicer)
 
 
-def detect_linear_mmse_batch(h, x, alpha, slicer=qpsk_slice_array) -> BatchDetection:
-    """Batched mirror of `detectors.detect_linear_mmse`."""
+def _dense_system(h, x, alpha):
+    """Regularized Gram H'^H H' + alpha I and matched filter H'^H x'."""
     _check_alpha(alpha)
     hp = equivalent_channel_batch(h)
-    two_m = hp.shape[2]
+    idx = np.arange(hp.shape[2])
     g = np.einsum("brj,brk->bjk", np.conj(hp), hp)
-    idx = np.arange(two_m)
     g[:, idx, idx] += alpha
-    rhs = np.einsum("brk,br->bk", np.conj(hp), x)
-    soft = np.linalg.solve(g, rhs[:, :, None])[:, :, 0]
+    return g, np.einsum("brk,br->bk", np.conj(hp), x)
+
+
+def detect_linear_mmse_batch(h, x, alpha, slicer=qpsk_slice_array) -> BatchDetection:
+    """Batched mirror of `detectors.detect_linear_mmse`."""
+    g, z = _dense_system(h, x, alpha)
+    soft = np.linalg.solve(g, z[:, :, None])[:, :, 0]
     return BatchDetection(slicer(soft), soft)
 
 
-def _masked_row_estimate(hw, q, res, j, rows):
-    qrow = q[rows, j, :]
-    z = np.einsum("brk,br->bk", np.conj(hw), res)
-    return np.einsum("bk,bk->b", qrow, z)
+def _masked_sic(h, x, alpha, slicer, groupwise):
+    """Dense MMSE-SIC over all 2M symbols with one inverse per block.
 
+    The regularized Gram G is inverted once.  At each step the chosen
+    symbol j is estimated from row j of the inverse and the running
+    matched filter z, sliced, and cancelled through the Gram column,
+    z -= G[:, j] d.  The inverse is then downdated by rank one,
+    Q <- Q - q_j q_j^H / q_jj, which leaves the inverse of G without row
+    and column j (the dense form of `deflate_covariance`), and row and
+    column j are zeroed so the detected symbol drops out.
 
-def detect_osic_symbolwise_batch(h, x, alpha, slicer=qpsk_slice_array) -> BatchDetection:
-    """Batched mirror of `detectors.detect_osic_symbolwise`.
-
-    Detected columns are zeroed instead of dropped; the regularized Gram
-    then decouples exactly at the detected coordinates (row and column
-    reset to alpha e_j), so the live part of each dense inverse equals the
-    inverse of the physically reduced system.
+    `groupwise` takes the layer with the smallest second-symbol diagonal,
+    its second symbol first, then its first symbol.  Otherwise the best
+    remaining symbol goes next, diagonals within TIE_REL_TOL of the
+    minimum tying to the lowest index, as in the scalar reference.
     """
-    _check_alpha(alpha)
-    hp = equivalent_channel_batch(h)
-    b, _, two_m = hp.shape
+    g, z = _dense_system(h, x, alpha)
+    b, two_m = z.shape
     rows = np.arange(b)
     idx = np.arange(two_m)
-    hw = hp.copy()
-    g = np.einsum("brj,brk->bjk", np.conj(hw), hw)
-    g[:, idx, idx] += alpha
-    res = x.astype(np.complex128, copy=True)
-    detected = np.zeros((b, two_m), dtype=bool)
+    q = np.linalg.inv(g)
+    live = np.ones((b, two_m), dtype=bool)
     decisions = np.empty((b, two_m), dtype=np.complex128)
     soft = np.empty((b, two_m), dtype=np.complex128)
-    for _ in range(two_m):
-        q = np.linalg.inv(g)
-        diag = np.real(q[:, idx, idx]).copy()
-        diag[detected] = np.inf
-        j = np.argmin(diag, axis=1)
-        y = _masked_row_estimate(hw, q, res, j, rows)
+    for step in range(two_m):
+        diag = np.where(live, np.real(q[:, idx, idx]), np.inf)
+        if groupwise and step % 2:
+            j = j - 1
+        elif groupwise:
+            j = 2 * np.argmin(diag[:, 1::2], axis=1) + 1
+        else:
+            near = diag.min(axis=1, keepdims=True) * (1.0 + TIE_REL_TOL)
+            j = np.argmax(diag <= near, axis=1)
+        y = np.einsum("bk,bk->b", q[rows, j, :], z)
         d = slicer(y)
         decisions[rows, j] = d
         soft[rows, j] = y
-        res -= hw[rows, :, j] * d[:, None]
-        hw[rows, :, j] = 0
-        g[rows, j, :] = 0
-        g[rows, :, j] = 0
-        g[rows, j, j] = alpha
-        detected[rows, j] = True
+        z -= g[rows, :, j] * d[:, None]
+        qj = q[rows, :, j]
+        qjj = np.real(qj[rows, j])
+        if not np.all(qjj > 0):
+            raise SingularPivot("downdate pivot is not positive in a batch element")
+        q -= qj[:, :, None] * (np.conj(qj) / qjj[:, None])[:, None, :]
+        q[rows, j, :] = 0
+        q[rows, :, j] = 0
+        live[rows, j] = False
     return BatchDetection(decisions, soft)
+
+
+def detect_osic_symbolwise_batch(h, x, alpha, slicer=qpsk_slice_array) -> BatchDetection:
+    """Batched mirror of `detectors.detect_osic_symbolwise`."""
+    return _masked_sic(h, x, alpha, slicer, False)
 
 
 def detect_sic_groupwise_batch(h, x, alpha, slicer=qpsk_slice_array) -> BatchDetection:
     """Batched mirror of `detectors.detect_sic_groupwise_symbolwise`."""
-    _check_alpha(alpha)
-    hp = equivalent_channel_batch(h)
-    b, _, two_m = hp.shape
-    m = two_m // 2
-    rows = np.arange(b)
-    idx = np.arange(two_m)
-    hw = hp.copy()
-    g = np.einsum("brj,brk->bjk", np.conj(hw), hw)
-    g[:, idx, idx] += alpha
-    res = x.astype(np.complex128, copy=True)
-    detected_layer = np.zeros((b, m), dtype=bool)
-    decisions = np.empty((b, two_m), dtype=np.complex128)
-    soft = np.empty((b, two_m), dtype=np.complex128)
-
-    def cancel(j, d):
-        nonlocal res
-        res -= hw[rows, :, j] * d[:, None]
-        hw[rows, :, j] = 0
-        g[rows, j, :] = 0
-        g[rows, :, j] = 0
-        g[rows, j, j] = alpha
-
-    for _ in range(m):
-        q = np.linalg.inv(g)
-        block_diag = np.real(q[:, 2 * np.arange(m) + 1, 2 * np.arange(m) + 1]).copy()
-        block_diag[detected_layer] = np.inf
-        lay = np.argmin(block_diag, axis=1)
-        j2 = 2 * lay + 1
-        y2 = _masked_row_estimate(hw, q, res, j2, rows)
-        d2 = slicer(y2)
-        decisions[rows, j2] = d2
-        soft[rows, j2] = y2
-        cancel(j2, d2)
-        q = np.linalg.inv(g)
-        j1 = 2 * lay
-        y1 = _masked_row_estimate(hw, q, res, j1, rows)
-        d1 = slicer(y1)
-        decisions[rows, j1] = d1
-        soft[rows, j1] = y1
-        cancel(j1, d1)
-        detected_layer[rows, lay] = True
-    return BatchDetection(decisions, soft)
+    return _masked_sic(h, x, alpha, slicer, True)

@@ -30,12 +30,13 @@ from .errors import InvalidDimensions
 __all__ = [
     "ChannelMatrix",
     "EquivalentChannel",
-    "SymbolVector",
     "ReceivedVector",
     "NoiseSpec",
     "keyed_generator",
     "generate_channel",
     "build_equivalent",
+    "equivalent_channel_batch",
+    "second_slot",
     "transmit",
 ]
 
@@ -77,14 +78,6 @@ class EquivalentChannel:
 
 
 @dataclass(frozen=True)
-class SymbolVector:
-    """Stacked layer symbols (s_11, s_12, ..., s_M1, s_M2)."""
-
-    entries: np.ndarray
-    sigma_s2: float = 1.0
-
-
-@dataclass(frozen=True)
 class ReceivedVector:
     """Stacked received samples (x_11, conj(x_12), ..., x_N1, conj(x_N2))."""
 
@@ -113,23 +106,36 @@ def generate_channel(n_rx: int, layers: int, seed: int) -> ChannelMatrix:
     return ChannelMatrix(gains)
 
 
+def equivalent_channel_batch(h: np.ndarray) -> np.ndarray:
+    """(..., N, 2M) physical gains to (..., 2N, 2M) equivalent channels."""
+    out = np.empty(h.shape[:-2] + (2 * h.shape[-2], h.shape[-1]), dtype=np.complex128)
+    out[..., 0::2, :] = h
+    out[..., 1::2, 0::2] = np.conj(h[..., 1::2])
+    out[..., 1::2, 1::2] = -np.conj(h[..., 0::2])
+    return out
+
+
 def build_equivalent(h: ChannelMatrix) -> EquivalentChannel:
     """Assemble the 2N x 2M equivalent channel from the physical gains."""
     g = np.asarray(h.gains)
     if g.ndim != 2 or g.shape[1] % 2 != 0 or g.shape[1] == 0:
         raise InvalidDimensions(f"channel gains must be N x 2M, got shape {g.shape}")
-    n, two_m = g.shape
-    out = np.empty((2 * n, two_m), dtype=np.complex128)
-    out[0::2, :] = g
-    out[1::2, 0::2] = np.conj(g[:, 1::2])
-    out[1::2, 1::2] = -np.conj(g[:, 0::2])
-    return EquivalentChannel(out)
+    return EquivalentChannel(equivalent_channel_batch(g))
+
+
+def second_slot(s: np.ndarray) -> np.ndarray:
+    """Second-slot symbols of every antenna pair, (..., 2M) to (..., 2M):
+    layer m sends (-conj(s_m2), conj(s_m1))."""
+    t2 = np.empty_like(s)
+    t2[..., 0::2] = -np.conj(s[..., 1::2])
+    t2[..., 1::2] = np.conj(s[..., 0::2])
+    return t2
 
 
 def transmit(h: ChannelMatrix, s, noise: NoiseSpec) -> ReceivedVector:
     """Run one two-slot channel use and return the stacked received vector.
 
-    `s` is a SymbolVector or any length-2M sequence of symbols.
+    `s` is any length-2M sequence of symbols.
 
     The per-slot transmit matrix is built explicitly from the Alamouti
     pattern, noise is added per receive antenna and slot, and the slot-two
@@ -137,18 +143,12 @@ def transmit(h: ChannelMatrix, s, noise: NoiseSpec) -> ReceivedVector:
     the same variance, so the stacked model sees i.i.d. noise.
     """
     g = np.asarray(h.gains)
-    sv = np.asarray(getattr(s, "entries", s))
+    sv = np.asarray(s, dtype=np.complex128)
     if sv.ndim != 1 or sv.size != g.shape[1]:
         raise InvalidDimensions(f"symbol vector length {sv.size} does not match 2M={g.shape[1]}")
     if noise.sigma_n2 < 0:
         raise InvalidDimensions(f"noise variance must be >= 0, got {noise.sigma_n2}")
-    two_m = sv.size
-    code = np.empty((two_m, 2), dtype=np.complex128)
-    code[0::2, 0] = sv[0::2]
-    code[1::2, 0] = sv[1::2]
-    code[0::2, 1] = -np.conj(sv[1::2])
-    code[1::2, 1] = np.conj(sv[0::2])
-    received = g @ code
+    received = g @ np.stack([sv, second_slot(sv)], axis=1)
     if noise.sigma_n2 > 0:
         rng = keyed_generator(noise.seed)
         w = (rng.standard_normal(received.shape) + 1j * rng.standard_normal(received.shape))

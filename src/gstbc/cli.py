@@ -18,6 +18,8 @@ fails on valid input.
 from __future__ import annotations
 
 import argparse
+import cmath
+import math
 import sys
 
 import numpy as np
@@ -31,16 +33,22 @@ from .sim import DETECTORS, SimConfig, emit_csv, format_csv, run_ber_sweep
 
 def _parse_complex(token: str, line: int, column: int) -> complex:
     try:
-        return complex(token.replace("i", "j").replace("I", "j"))
+        value = complex(token.replace("i", "j").replace("I", "j"))
     except ValueError:
         raise ParseError(f"bad complex number {token!r}", line=line, column=column) from None
+    if not cmath.isfinite(value):
+        raise ParseError(f"non-finite complex number {token!r}", line=line, column=column)
+    return value
 
 
 def _parse_real(token: str, line: int, column: int) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ParseError(f"bad number {token!r}", line=line, column=column) from None
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite number {token!r}", line=line, column=column)
+    return value
 
 
 def _parse_int(token: str, line: int, column: int) -> int:

@@ -5,9 +5,9 @@ additions under the same convention as `gstbc.flops` (a complex multiply
 is 4 and 2, a complex add is 2 real adds, a real division is one
 multiply).  `cost_recursive` is exact for the structured recursion and
 tests hold it to the instrumented code operation for operation; the
-published reference formulas (`published_formula`, `cost_dense_sic`,
-`cost_sorted_qr`) are kept separate because they were derived under a
-slightly different convention and carry documented constant offsets.
+published reference formulas (`published_formula`, `cost_dense_sic`)
+are kept separate because they were derived under a slightly different
+convention and carry documented constant offsets.
 """
 
 from __future__ import annotations
@@ -53,13 +53,6 @@ def cost_dense_sic(n_rx: int) -> FlopCounter:
         real_mults=(8 * n**3 + 79 * n) // 3 + 14 * n * n - 25,
         real_adds=(8 * n**3 + 46 * n) // 3 + 10 * n * n - 9,
     )
-
-
-def cost_sorted_qr(layers: int, n_rx: int) -> FlopCounter:
-    """Leading-order published cost of a sorted-QR layered receiver."""
-    m, n = layers, n_rx
-    c = 32 * m**3 + 16 * m * m * n
-    return FlopCounter(real_mults=c, real_adds=c)
 
 
 def published_formula(layers: int, n_rx: int):

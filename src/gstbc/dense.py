@@ -11,10 +11,8 @@ input values.  Everything routes through the counted primitives in
 
 from __future__ import annotations
 
-from .errors import SingularPivot
+from .errors import PIVOT_REL_TOL, SingularPivot
 from .flops import cadd, cmul, csub, rcmul, rdiv
-
-_PIVOT_REL_TOL = 1e-12
 
 
 def gram_plus_alpha(columns, alpha: float):
@@ -58,21 +56,21 @@ def gj_inverse_hpd(a):
 
     Works on the augmented system [A | I] without pivot search; the
     pivots of an HPD matrix are real and positive, so a pivot at or below
-    1e-12 times the mean diagonal (or with a non-real part beyond that
-    tolerance) signals a numerically singular input and raises
-    SingularPivot.
+    PIVOT_REL_TOL times the mean diagonal (or with a non-real part beyond
+    that tolerance, or NaN) signals a numerically singular input and
+    raises SingularPivot.
     """
     n = len(a)
     work = [list(a[i]) + [0j] * n for i in range(n)]
     for i in range(n):
         work[i][n + i] = 1 + 0j
     scale = sum(abs(a[i][i].real) for i in range(n)) / n if n else 0.0
-    tol = _PIVOT_REL_TOL * max(scale, 1e-300)
+    tol = PIVOT_REL_TOL * max(scale, 1e-300)
     for col in range(n):
         pivot = work[col][col]
-        if abs(pivot.imag) > tol:
+        if not abs(pivot.imag) <= tol:
             raise SingularPivot(f"elimination pivot {col} is not real: {pivot!r}")
-        if pivot.real <= tol:
+        if not pivot.real > tol:
             raise SingularPivot(f"elimination pivot {col} is not positive: {pivot.real!r}")
         inv_p = rdiv(1.0, pivot.real)
         row = work[col]

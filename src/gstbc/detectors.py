@@ -40,11 +40,10 @@ from .alamouti import (
 )
 from .channel import ChannelMatrix, EquivalentChannel, ReceivedVector, build_equivalent
 from .dense import adjoint_apply, gj_inverse_hpd, gram_plus_alpha
-from .errors import InvalidDimensions, NonPositiveAlpha, SingularPivot
+from .errors import PIVOT_REL_TOL, TIE_REL_TOL, InvalidDimensions, NonPositiveAlpha, SingularPivot
 from .flops import FlopCounter, cabs2, cadd, cmul, csub, flop_scope, radd, rcmul, rdiv, rmul, rsub
 from .modulation import qpsk_slice
 
-_PIVOT_REL_TOL = 1e-12
 _IMAG_REL_TOL = 1e-9
 
 Slicer = Callable[[complex], complex]
@@ -119,6 +118,8 @@ def _check_instance(hp, x, alpha: float):
         raise InvalidDimensions(f"received vector length {xv.size} does not match 2N={a.shape[0]}")
     if not alpha > 0:
         raise NonPositiveAlpha(f"alpha must be > 0, got {alpha}")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(xv))):
+        raise InvalidDimensions("channel gains and received samples must be finite")
     return a, xv
 
 
@@ -178,7 +179,7 @@ def init_gram(hp, alpha: float) -> StructuredHermitianBlockMatrix:
 
 
 def _pivot_guard(value, scale, what):
-    if value <= _PIVOT_REL_TOL * max(scale, 1e-300):
+    if not value > PIVOT_REL_TOL * max(scale, 1e-300):
         raise SingularPivot(f"{what} pivot {value!r} vanishes at scale {scale!r}")
 
 
@@ -212,7 +213,7 @@ def init_covariance(rbar: StructuredHermitianBlockMatrix) -> StructuredHermitian
         for j in range(1, k):
             beta = cadd(beta, cmul(v[j].a1.conjugate(), u[j].a1))
             beta = cadd(beta, cmul(v[j].a2.conjugate(), u[j].a2))
-        if abs(beta.imag) > _IMAG_REL_TOL * max(abs(beta.real), 1e-300):
+        if not abs(beta.imag) <= _IMAG_REL_TOL * max(abs(beta.real), 1e-300):
             raise SingularPivot(f"quadratic form {beta!r} lost its real structure")
         denom = rsub(upsilon, beta.real)
         _pivot_guard(denom, scale, "covariance recursion")
@@ -459,6 +460,10 @@ def detect_osic_symbolwise(
     columns is recomputed densely, the symbol with the smallest inverse
     diagonal is estimated, sliced, cancelled from the residual, and its
     column dropped.  O(M^4) on purpose; no block structure is used.
+    Diagonals within TIE_REL_TOL of the minimum tie, and ties go to the
+    lowest symbol index: the two symbols of a layer have equal diagonals
+    whenever only whole layers have been removed, so without a rule the
+    choice would fall to rounding.
     """
     a, xv = _check_instance(hp, x, alpha)
     n_sym = a.shape[1]
@@ -473,10 +478,9 @@ def detect_osic_symbolwise(
         while active:
             col_list = [cols[k] for k in active]
             q = gj_inverse_hpd(gram_plus_alpha(col_list, alpha))
-            pos = 0
-            for i in range(1, len(active)):
-                if q[i][i].real < q[pos][pos].real:
-                    pos = i
+            diag = [q[i][i].real for i in range(len(active))]
+            near = min(diag) * (1.0 + TIE_REL_TOL)
+            pos = next(i for i, d in enumerate(diag) if d <= near)
             z = adjoint_apply(col_list, residual)
             y = cmul(q[pos][0], z[0])
             for j in range(1, len(active)):

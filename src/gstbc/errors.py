@@ -1,4 +1,11 @@
-"""Exception types raised by the library."""
+"""Exception types raised by the library, and the relative tolerances of
+the numerical guards that raise them."""
+
+# a pivot at or below this multiple of the mean diagonal is numerically zero
+PIVOT_REL_TOL = 1e-12
+# inverse diagonals within this relative distance of the minimum tie for
+# ordering; ties go to the lowest index
+TIE_REL_TOL = 1e-9
 
 
 class GstbcError(Exception):
@@ -6,7 +13,8 @@ class GstbcError(Exception):
 
 
 class InvalidDimensions(GstbcError, ValueError):
-    """Array shapes are inconsistent or outside the supported range."""
+    """Array shapes are inconsistent or outside the supported range, or
+    array entries are not finite."""
 
 
 class NonPositiveAlpha(GstbcError, ValueError):

@@ -27,8 +27,8 @@ from .batch import (
     detect_osic_symbolwise_batch,
     detect_sic_groupwise_batch,
 )
+from .channel import keyed_generator, second_slot
 from .errors import ConfigInvalid
-from .channel import keyed_generator
 
 BLOCK_SIZE = 25_000
 
@@ -63,6 +63,10 @@ class SimConfig:
             )
         if not self.snr_db:
             raise ConfigInvalid("snr_db grid must be nonempty")
+        if not all(math.isfinite(v) for v in self.snr_db):
+            raise ConfigInvalid(f"snr_db values must be finite, got {self.snr_db}")
+        if not 0 < self.sigma_s2 < math.inf:
+            raise ConfigInvalid(f"sigma_s2 must be finite and > 0, got {self.sigma_s2}")
         unknown = [d for d in self.detectors if d not in DETECTORS]
         if unknown:
             raise ConfigInvalid(f"unknown detectors: {unknown}; known: {sorted(DETECTORS)}")
@@ -96,10 +100,7 @@ def _draw_block(rng, count, layers, n_rx, sigma_n2):
     ) * _SCALE
     bits = rng.integers(0, 2, size=(count, 2 * two_m)).astype(np.int8)
     s = ((1 - 2 * bits[:, 0::2]) + 1j * (1 - 2 * bits[:, 1::2])) * _SCALE
-    # second-slot transmit pattern of each antenna pair
-    t2 = np.empty_like(s)
-    t2[:, 0::2] = -np.conj(s[:, 1::2])
-    t2[:, 1::2] = np.conj(s[:, 0::2])
+    t2 = second_slot(s)
     noise = (
         rng.standard_normal((count, n_rx, 2))
         + 1j * rng.standard_normal((count, n_rx, 2))

@@ -10,14 +10,7 @@ import math
 import numpy as np
 
 from gstbc.alamouti import sbm_from_dense, sbm_to_dense
-from gstbc.batch import (
-    detect_fixed_order_batch,
-    detect_gstbc_batch,
-    detect_linear_mmse_batch,
-    detect_osic_symbolwise_batch,
-    detect_sic_groupwise_batch,
-    equivalent_channel_batch,
-)
+from gstbc.batch import equivalent_channel_batch
 from gstbc.channel import ChannelMatrix, NoiseSpec, generate_channel, transmit
 from gstbc.complexity import (
     asymptotic_speedup,
@@ -35,6 +28,7 @@ from gstbc.detectors import (
 )
 from gstbc.errors import StructureViolation
 from gstbc.modulation import qpsk_modulate
+from gstbc.sim import DETECTORS as engines
 from gstbc.sim import SimConfig, run_ber_sweep, snr_at_ber
 
 
@@ -313,13 +307,6 @@ def test_c8c_dsttd_n8_all_detector_spread():
 
 
 def test_c9_noiseless_exact_recovery():
-    engines = {
-        "proposed": detect_gstbc_batch,
-        "fixed_order": detect_fixed_order_batch,
-        "linear_mmse": detect_linear_mmse_batch,
-        "osic_symbolwise": detect_osic_symbolwise_batch,
-        "sic_groupwise": detect_sic_groupwise_batch,
-    }
     bad = {}
     for name, fn in engines.items():
         errors = 0

@@ -1,25 +1,12 @@
 import numpy as np
 import pytest
 
-from gstbc.batch import (
-    detect_fixed_order_batch,
-    detect_gstbc_batch,
-    detect_linear_mmse_batch,
-    detect_osic_symbolwise_batch,
-    detect_sic_groupwise_batch,
-    equivalent_channel_batch,
-)
+from gstbc.batch import detect_gstbc_batch, equivalent_channel_batch
 from gstbc.channel import ChannelMatrix, build_equivalent
 from gstbc.detectors import SCALAR_DETECTORS
 from gstbc.errors import NonPositiveAlpha
-
-BATCH_PAIRS = {
-    "proposed": detect_gstbc_batch,
-    "fixed_order": detect_fixed_order_batch,
-    "linear_mmse": detect_linear_mmse_batch,
-    "osic_symbolwise": detect_osic_symbolwise_batch,
-    "sic_groupwise": detect_sic_groupwise_batch,
-}
+from gstbc.sim import DETECTORS as BATCH_PAIRS
+from gstbc.sim import sigma_n2_for_snr
 
 
 def random_batch(rng, count, layers, n_rx, sigma_n2):
@@ -93,3 +80,16 @@ def test_batch_single_instance_shapes():
     out = detect_gstbc_batch(h, x, alpha=0.1)
     assert out.decisions.shape == (1, 8)
     assert out.soft.shape == (1, 8)
+
+
+def test_osic_symbolwise_breaks_structural_ties_like_scalar():
+    # while only whole layers are gone, both symbols of each remaining layer
+    # have equal inverse diagonals; both routes must resolve that tie by the
+    # lowest-index rule, not by rounding, on every instance
+    rng = np.random.default_rng(48)
+    sigma_n2 = sigma_n2_for_snr(-6.0)
+    h, _, x = random_batch(rng, 300, 4, 4, sigma_n2)
+    out = BATCH_PAIRS["osic_symbolwise"](h, x, alpha=sigma_n2)
+    for b in range(300):
+        ref = SCALAR_DETECTORS["osic_symbolwise"](ChannelMatrix(h[b]), x[b], alpha=sigma_n2)
+        assert np.array_equal(out.decisions[b], ref.decisions), b

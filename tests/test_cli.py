@@ -77,6 +77,7 @@ def test_parse_instance_accepts_comments_and_case():
         (lambda ls: ls[:2] + [ls[2] + " 9+9i"] + ls[3:], "channel row 1: expected 4 gains"),
         (lambda ls: ls[:2] + [ls[2].replace("i", "q", 1)] + ls[3:], "bad complex number"),
         (lambda ls: ls[:-1] + [ls[-1] + " 1+1i"], "received samples"),
+        (lambda ls: ls[:2] + [" ".join(["nan+0i"] + ls[2].split()[1:])] + ls[3:], "non-finite"),
     ],
 )
 def test_parse_instance_reports_errors(mutate, needle):

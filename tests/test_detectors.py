@@ -175,6 +175,10 @@ def test_input_validation():
             det(h, x, alpha=-1.0)
         with pytest.raises(InvalidDimensions):
             det(h, np.zeros(5, dtype=np.complex128), alpha=0.1)
+        nan_x = np.asarray(x.entries).copy()
+        nan_x[1] = complex("nan")
+        with pytest.raises(InvalidDimensions):
+            det(h, nan_x, alpha=0.1)
 
 
 def test_flop_counts_are_input_independent():
