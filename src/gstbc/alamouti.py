@@ -19,6 +19,8 @@ All arithmetic helpers route through the counted primitives in
 `gstbc.flops`, charging compressed cost: a block-times-block product is 4
 complex mults + 2 complex adds, and a real-scalar-times-block is 4 real
 mults.  Pure data movement (conversion, permutation, slicing) is free.
+The helpers need only `*`, `+`, `-` and `.conjugate()` of their entries,
+so a block whose entries are (B,) arrays holds B instances at once.
 """
 
 from __future__ import annotations

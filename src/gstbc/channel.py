@@ -36,6 +36,7 @@ __all__ = [
     "generate_channel",
     "build_equivalent",
     "equivalent_channel_batch",
+    "equivalent_channel_batch_last",
     "second_slot",
     "transmit",
 ]
@@ -106,12 +107,25 @@ def generate_channel(n_rx: int, layers: int, seed: int) -> ChannelMatrix:
     return ChannelMatrix(gains)
 
 
-def equivalent_channel_batch(h: np.ndarray) -> np.ndarray:
-    """(..., N, 2M) physical gains to (..., 2N, 2M) equivalent channels."""
-    out = np.empty(h.shape[:-2] + (2 * h.shape[-2], h.shape[-1]), dtype=np.complex128)
+def _equivalent_rows(h, out):
+    # antenna n of h (..., N, 2M) gives rows 2n and 2n + 1 of out (..., 2N, 2M)
     out[..., 0::2, :] = h
     out[..., 1::2, 0::2] = np.conj(h[..., 1::2])
     out[..., 1::2, 1::2] = -np.conj(h[..., 0::2])
+    return out
+
+
+def equivalent_channel_batch(h: np.ndarray) -> np.ndarray:
+    """(..., N, 2M) physical gains to (..., 2N, 2M) equivalent channels."""
+    out = np.empty(h.shape[:-2] + (2 * h.shape[-2], h.shape[-1]), dtype=np.complex128)
+    return _equivalent_rows(h, out)
+
+
+def equivalent_channel_batch_last(h: np.ndarray) -> np.ndarray:
+    """(B, N, 2M) physical gains to batch-last (2N, 2M, B) equivalent channels."""
+    b, n, two_m = h.shape
+    out = np.empty((2 * n, two_m, b), dtype=np.complex128)
+    _equivalent_rows(h, out.transpose(2, 0, 1))
     return out
 
 

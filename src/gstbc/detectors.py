@@ -15,6 +15,12 @@ every step, a symbol-wise SIC constrained to the group-wise detection
 order (equivalent, decision for decision, to `detect_gstbc`), and the
 recursion with ordering disabled.  The dense references use the counted
 helpers in `gstbc.dense`, so every detector reports its flop tally.
+
+The recursion is written once.  Each compressed entry is a Python number
+for one instance, or a (B,) array for a block of B instances stored
+batch-last, which is how `gstbc.batch` runs `proposed` and `fixed_order`;
+a `flop_scope` around a block counts one instance.  Only the front end,
+the ordering, the guards and the output (`_scatter`) tell the two apart.
 """
 
 from __future__ import annotations
@@ -40,11 +46,10 @@ from .alamouti import (
 )
 from .channel import ChannelMatrix, EquivalentChannel, ReceivedVector, build_equivalent
 from .dense import adjoint_apply, gj_inverse_hpd, gram_plus_alpha
-from .errors import PIVOT_REL_TOL, TIE_REL_TOL, InvalidDimensions, NonPositiveAlpha, SingularPivot
+from .errors import IMAG_REL_TOL, PIVOT_REL_TOL, TIE_REL_TOL
+from .errors import InvalidDimensions, NonPositiveAlpha, SingularPivot
 from .flops import FlopCounter, cabs2, cadd, cmul, csub, flop_scope, radd, rcmul, rdiv, rmul, rsub
 from .modulation import qpsk_slice
-
-_IMAG_REL_TOL = 1e-9
 
 Slicer = Callable[[complex], complex]
 
@@ -57,7 +62,7 @@ class DetectorWorkspace:
     Gram matrix of the remaining columns and its inverse; `z` is the
     running matched-filter vector (length 2m); `p` maps the current block
     position to the original layer index (full length, never truncated);
-    `alpha` is the MMSE regularizer.
+    `alpha` is the MMSE regularizer.  Over a block every entry is a (B,) array.
     """
 
     m: int
@@ -123,14 +128,22 @@ def _check_instance(hp, x, alpha: float):
     return a, xv
 
 
+def _front_end(hp):
+    """The equivalent channel and its conversion to entries: nested Python
+    numbers for one instance, (B,) arrays for a batch-last block (2N x 2M x B,
+    samples 2N x B), which stays as it is."""
+    a = np.asarray(_as_equivalent(hp).array)
+    return a, (np.asarray if a.ndim == 3 else np.ndarray.tolist)
+
+
 def matched_filter(hp, x) -> tuple:
     """Return H'^H x' as a tuple of 2M complex values."""
-    a = np.asarray(_as_equivalent(hp).array)
+    a, entries = _front_end(hp)
     xv = _as_array(x)
-    if xv.size != a.shape[0]:
-        raise InvalidDimensions(f"received vector length {xv.size} does not match 2N={a.shape[0]}")
-    rows = a.tolist()
-    xs = xv.tolist()
+    if len(xv) != a.shape[0]:
+        raise InvalidDimensions(f"received vector length {len(xv)} does not match 2N={a.shape[0]}")
+    rows = entries(a)
+    xs = entries(xv)
     n_rows = len(xs)
     out = []
     for k in range(a.shape[1]):
@@ -151,13 +164,13 @@ def init_gram(hp, alpha: float) -> StructuredHermitianBlockMatrix:
     """
     if not alpha > 0:
         raise NonPositiveAlpha(f"alpha must be > 0, got {alpha}")
-    arr = np.asarray(_as_equivalent(hp).array)
+    arr, entries = _front_end(hp)
     m = arr.shape[1] // 2
     n = arr.shape[0] // 2
     # per receive antenna and layer: a = gain of the first antenna in the
     # pair, b = gain of the second; redundancy rows are implied
-    a = arr[0::2, 0::2].tolist()
-    b = arr[0::2, 1::2].tolist()
+    a = entries(arr[0::2, 0::2])
+    b = entries(arr[0::2, 1::2])
     diag = []
     for i in range(m):
         acc = radd(cabs2(a[0][i]), cabs2(b[0][i]))
@@ -179,8 +192,30 @@ def init_gram(hp, alpha: float) -> StructuredHermitianBlockMatrix:
 
 
 def _pivot_guard(value, scale, what):
-    if not value > PIVOT_REL_TOL * max(scale, 1e-300):
+    # NaN fails every comparison, so the tests pass only on good values;
+    # a Python float stays on the cheap scalar path
+    if isinstance(value, np.ndarray):
+        ok = value > PIVOT_REL_TOL * np.maximum(scale, 1e-300)
+        _block_guard(ok, f"{what} pivot vanishes", value, np.min)
+    elif not value > PIVOT_REL_TOL * max(scale, 1e-300):
         raise SingularPivot(f"{what} pivot {value!r} vanishes at scale {scale!r}")
+
+
+def _real_guard(beta):
+    """A quadratic form that must be real keeps at most an IMAG_REL_TOL
+    relative imaginary residue."""
+    if isinstance(beta, np.ndarray):
+        residue = np.abs(beta.imag) / np.maximum(np.abs(beta.real), 1e-300)
+        _block_guard(residue <= IMAG_REL_TOL, "quadratic form lost its real structure", residue, np.max)
+    elif not abs(beta.imag) <= IMAG_REL_TOL * max(abs(beta.real), 1e-300):
+        raise SingularPivot(f"quadratic form {beta!r} lost its real structure")
+
+
+def _block_guard(ok, what, value, worst):
+    """Over a block: name how many instances failed and the worst value."""
+    if not ok.all():
+        n_bad = ok.size - np.count_nonzero(ok)
+        raise SingularPivot(f"{what} in {n_bad} of {ok.size} instances, worst {worst(value[~ok]):.6g}")
 
 
 def init_covariance(rbar: StructuredHermitianBlockMatrix) -> StructuredHermitianBlockMatrix:
@@ -213,8 +248,7 @@ def init_covariance(rbar: StructuredHermitianBlockMatrix) -> StructuredHermitian
         for j in range(1, k):
             beta = cadd(beta, cmul(v[j].a1.conjugate(), u[j].a1))
             beta = cadd(beta, cmul(v[j].a2.conjugate(), u[j].a2))
-        if not abs(beta.imag) <= _IMAG_REL_TOL * max(abs(beta.real), 1e-300):
-            raise SingularPivot(f"quadratic form {beta!r} lost its real structure")
+        _real_guard(beta)
         denom = rsub(upsilon, beta.real)
         _pivot_guard(denom, scale, "covariance recursion")
         omega = rdiv(1.0, denom)
@@ -234,10 +268,13 @@ def init_covariance(rbar: StructuredHermitianBlockMatrix) -> StructuredHermitian
     return q
 
 
-def select_layer(ws: DetectorWorkspace) -> int:
+def select_layer(ws: DetectorWorkspace):
     """Pick the layer with the smallest inverse diagonal (best post-MMSE
-    quality); returns the even scalar index 2(i+1) of the chosen block.
-    Ties resolve to the smallest index."""
+    quality); returns the even scalar index 2(i+1) of the chosen block,
+    over a block a (B,) array of them.  Ties resolve to the smallest
+    index."""
+    if isinstance(ws.Qbar.diag[0], np.ndarray):
+        return 2 * (np.argmin(np.stack(ws.Qbar.diag), axis=0) + 1)
     best = 0
     best_val = ws.Qbar.diag[0]
     for i in range(1, ws.m):
@@ -251,8 +288,12 @@ def permute_workspace(ws: DetectorWorkspace, l: int) -> DetectorWorkspace:
     """Swap the chosen block into the last position of every state.
 
     `l` is the even scalar index returned by `select_layer`.  Data
-    movement only; no flops.
+    movement only; no flops.  A (B,) array of indices goes to `_swap_merged`.
     """
+    if isinstance(l, np.ndarray):
+        if np.any(l % 2) or not np.all((2 <= l) & (l <= 2 * ws.m)):
+            raise InvalidDimensions(f"block indices must be even in [2, {2 * ws.m}]")
+        return _swap_merged(ws, l // 2 - 1)
     if l % 2 or not 2 <= l <= 2 * ws.m:
         raise InvalidDimensions(f"block index must be even in [2, {2 * ws.m}], got {l}")
     k = l // 2 - 1
@@ -272,6 +313,37 @@ def permute_workspace(ws: DetectorWorkspace, l: int) -> DetectorWorkspace:
         tuple(p),
         ws.alpha,
     )
+
+
+def _swap_merged(ws: DetectorWorkspace, k) -> DetectorWorkspace:
+    """`permute_workspace` per instance: block k[b] trades places with the
+    last block.  hit[t] marks the instances with k == t; there an entry
+    takes its value under the swap of block t with the last."""
+    m = ws.m
+    last = m - 1
+    hit = [k == t for t in range(last)]
+
+    def pick(h, x, y):
+        if isinstance(x, AlamoutiBlock):
+            return AlamoutiBlock(np.where(h, x.a1, y.a1), np.where(h, x.a2, y.a2))
+        return np.where(h, x, y)
+
+    def merged(get, *pos):
+        out = get(*pos)
+        for t, h in enumerate(hit):
+            moved = tuple(last if q == t else t if q == last else q for q in pos)
+            if moved != pos:
+                out = pick(h, get(*moved), out)
+        return out
+
+    def matrix(a):
+        diag = tuple(merged(a.diag.__getitem__, i) for i in range(m))
+        upper = tuple(merged(a.block, i, j) for i in range(m) for j in range(i + 1, m))
+        return StructuredHermitianBlockMatrix(m, diag, upper)
+
+    z = tuple(merged(lambda i, o=s % 2: ws.z[2 * i + o], s // 2) for s in range(2 * m))
+    p = tuple(merged(ws.p.__getitem__, i) for i in range(m)) + ws.p[m:]
+    return DetectorWorkspace(m, matrix(ws.Rbar), matrix(ws.Qbar), z, p, ws.alpha)
 
 
 def estimate_layer(ws: DetectorWorkspace):
@@ -342,47 +414,55 @@ def cancel_layer(ws: DetectorWorkspace, s1: complex, s2: complex) -> DetectorWor
     )
 
 
+def _scatter(steps, n_sym):
+    """Decisions and soft values by original symbol position, from
+    (layer, y1, y2, s1, s2) per depth; a block's layer may vary by instance."""
+    y = steps[0][1]
+    rows = (np.arange(y.shape[0]),) if isinstance(y, np.ndarray) else ()
+    shape = tuple(r.size for r in rows) + (n_sym,)
+    decisions = np.empty(shape, dtype=np.complex128)
+    soft = np.empty(shape, dtype=np.complex128)
+    for layer, y1, y2, s1, s2 in steps:
+        decisions[rows + (2 * layer,)] = s1
+        decisions[rows + (2 * layer + 1,)] = s2
+        soft[rows + (2 * layer,)] = y1
+        soft[rows + (2 * layer + 1,)] = y2
+    return decisions, soft
+
+
 def _detect_recursive(hp, x, alpha, slicer, ordered, record_trace):
-    a, _ = _check_instance(hp, x, alpha)
-    m = a.shape[1] // 2
+    """The group-wise recursion on checked input: one instance, or a block
+    of instances stored batch-last (see `_front_end`)."""
+    m = hp.layers
     local = FlopCounter()
     trace = [] if record_trace else None
+    steps = []
     with flop_scope(local):
         z = matched_filter(hp, x)
         rbar = init_gram(hp, alpha)
+        # over a block the equivalent channel is the largest array held;
+        # nothing below reads it
+        del hp, x
         qbar = init_covariance(rbar)
         ws = DetectorWorkspace(m, rbar, qbar, z, tuple(range(m)), alpha)
-        decisions = [0j] * (2 * m)
-        soft = [0j] * (2 * m)
-        for mm in range(m, 1, -1):
-            l = select_layer(ws) if ordered else 2 * mm
-            ws = permute_workspace(ws, l)
+        for mm in range(m, 0, -1):
+            if mm > 1:
+                ws = permute_workspace(ws, select_layer(ws) if ordered else 2 * mm)
             y1, y2 = estimate_layer(ws)
             if record_trace:
                 trace.append(TraceStep(ws, y1, y2))
             s1 = slicer(y1)
             s2 = slicer(y2)
-            layer = ws.p[mm - 1]
-            decisions[2 * layer] = s1
-            decisions[2 * layer + 1] = s2
-            soft[2 * layer] = y1
-            soft[2 * layer + 1] = y2
-            ws = cancel_layer(ws, s1, s2)
-        y1, y2 = estimate_layer(ws)
-        if record_trace:
-            trace.append(TraceStep(ws, y1, y2))
-        layer = ws.p[0]
-        decisions[2 * layer] = slicer(y1)
-        decisions[2 * layer + 1] = slicer(y2)
-        soft[2 * layer] = y1
-        soft[2 * layer + 1] = y2
+            steps.append((ws.p[mm - 1], y1, y2, s1, s2))
+            if mm > 1:
+                ws = cancel_layer(ws, s1, s2)
+    decisions, soft = _scatter(steps, 2 * m)
     # ws.p[mm - 1] froze at the step that detected depth mm, so the
     # detection sequence is p reversed
-    order = tuple(ws.p[::-1])
     return DetectionResult(
-        np.array(decisions, dtype=np.complex128),
-        np.array(soft, dtype=np.complex128),
-        order,
+        decisions,
+        soft,
+        tuple(ws.p[::-1]),
         local,
         tuple(trace) if record_trace else None,
     )
@@ -403,6 +483,7 @@ def detect_gstbc(
     keeps a per-depth snapshot of the workspace and soft pair for
     verification.
     """
+    _check_instance(hp, x, alpha)
     return _detect_recursive(hp, x, alpha, slicer, True, record_trace)
 
 
@@ -415,6 +496,7 @@ def detect_fixed_order(
 ) -> DetectionResult:
     """Same recursion as `detect_gstbc` with ordering disabled (last block
     first, every step).  Isolates the gain of the ordering rule."""
+    _check_instance(hp, x, alpha)
     return _detect_recursive(hp, x, alpha, slicer, False, record_trace)
 
 

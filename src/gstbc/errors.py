@@ -6,6 +6,9 @@ PIVOT_REL_TOL = 1e-12
 # inverse diagonals within this relative distance of the minimum tie for
 # ordering; ties go to the lowest index
 TIE_REL_TOL = 1e-9
+# a quadratic form that must come out real may carry at most this multiple
+# of its real part as an imaginary residue
+IMAG_REL_TOL = 1e-9
 
 
 class GstbcError(Exception):

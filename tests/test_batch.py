@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
 
-from gstbc.batch import detect_gstbc_batch, equivalent_channel_batch
-from gstbc.channel import ChannelMatrix, build_equivalent
-from gstbc.detectors import SCALAR_DETECTORS
-from gstbc.errors import NonPositiveAlpha
+from gstbc.batch import detect_fixed_order_batch, detect_gstbc_batch, equivalent_channel_batch
+from gstbc.channel import ChannelMatrix, EquivalentChannel, build_equivalent, equivalent_channel_batch_last
+from gstbc.complexity import cost_recursive
+from gstbc.detectors import (
+    SCALAR_DETECTORS,
+    DetectorWorkspace,
+    init_covariance,
+    init_gram,
+    matched_filter,
+    permute_workspace,
+)
+from gstbc.errors import InvalidDimensions, NonPositiveAlpha, SingularPivot
+from gstbc.flops import FlopCounter, flop_scope
 from gstbc.sim import DETECTORS as BATCH_PAIRS
 from gstbc.sim import sigma_n2_for_snr
 
@@ -93,3 +102,56 @@ def test_osic_symbolwise_breaks_structural_ties_like_scalar():
     for b in range(300):
         ref = SCALAR_DETECTORS["osic_symbolwise"](ChannelMatrix(h[b]), x[b], alpha=sigma_n2)
         assert np.array_equal(out.decisions[b], ref.decisions), b
+
+
+def test_batch_rejects_non_finite_input():
+    rng = np.random.default_rng(49)
+    h, _, x = random_batch(rng, 3, 2, 2, 0.1)
+    nan_h = h.copy()
+    nan_h[1, 0, 2] = complex("nan")
+    nan_x = x.copy()
+    nan_x[2, 1] = complex("nan")
+    for fn in BATCH_PAIRS.values():
+        with pytest.raises(InvalidDimensions):
+            fn(nan_h, x, alpha=0.1)
+        with pytest.raises(InvalidDimensions):
+            fn(h, nan_x, alpha=0.1)
+
+
+@pytest.mark.parametrize("layers, n_rx", [(2, 2), (2, 8), (4, 4), (8, 8)])
+def test_batch_recursion_counts_one_instance(layers, n_rx):
+    # the batch route runs the counted recursion over (B,) arrays, so a
+    # scope around a block call sees exactly one instance's cost
+    rng = np.random.default_rng(50)
+    h, _, x = random_batch(rng, 5, layers, n_rx, 0.1)
+    want = cost_recursive(layers, n_rx)
+    for fn in (detect_gstbc_batch, detect_fixed_order_batch):
+        counter = FlopCounter()
+        with flop_scope(counter):
+            fn(h, x, alpha=0.1)
+        assert counter == want, fn.__name__
+
+
+def test_batch_guard_counts_failing_instances():
+    # one instance with a silent layer and a vanishing regularizer: the
+    # block fails, and the message says how many instances did
+    rng = np.random.default_rng(51)
+    h, _, x = random_batch(rng, 3, 2, 2, 0.1)
+    h[1, :, 2:4] = 0
+    for fn in (detect_gstbc_batch, detect_fixed_order_batch):
+        with pytest.raises(SingularPivot, match="1 of 3 instances"):
+            fn(h, x, alpha=1e-20)
+
+
+def test_permute_workspace_rejects_bad_block_indices():
+    # the per-instance swap of a batch-last workspace checks every index
+    rng = np.random.default_rng(52)
+    h, _, x = random_batch(rng, 4, 3, 3, 0.1)
+    hp = EquivalentChannel(equivalent_channel_batch_last(h))
+    rbar = init_gram(hp, 0.1)
+    ws = DetectorWorkspace(3, rbar, init_covariance(rbar), matched_filter(hp, x.T), (0, 1, 2), 0.1)
+    for bad in (0, 1, 3, 8):
+        index = np.full(4, 2)
+        index[2] = bad
+        with pytest.raises(InvalidDimensions):
+            permute_workspace(ws, index)
