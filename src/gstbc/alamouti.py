@@ -20,7 +20,9 @@ All arithmetic helpers route through the counted primitives in
 complex mults + 2 complex adds, and a real-scalar-times-block is 4 real
 mults.  Pure data movement (conversion, permutation, slicing) is free.
 The helpers need only `*`, `+`, `-` and `.conjugate()` of their entries,
-so a block whose entries are (B,) arrays holds B instances at once.
+so a block whose entries are (B,) arrays holds B instances at once.  No
+helper negates a product or forms an adjoint to multiply by it, so over a
+block no negated copy is made.
 """
 
 from __future__ import annotations
@@ -87,8 +89,22 @@ def ab_mul(x: AlamoutiBlock, y: AlamoutiBlock) -> AlamoutiBlock:
     Closure: the product of two Alamouti blocks is again an Alamouti block
     with c1 = a1 b1 - conj(a2) b2 and c2 = a2 b1 + conj(a1) b2.
     """
-    c1 = cadd(cmul(x.a1, y.a1), -cmul(x.a2.conjugate(), y.a2))
+    c1 = csub(cmul(x.a1, y.a1), cmul(x.a2.conjugate(), y.a2))
     c2 = cadd(cmul(x.a2, y.a1), cmul(x.a1.conjugate(), y.a2))
+    return AlamoutiBlock(c1, c2)
+
+
+def ab_mul_adjoint(x: AlamoutiBlock, y: AlamoutiBlock) -> AlamoutiBlock:
+    """x y^H: the sums of `ab_mul(x, ab_adjoint(y))`, forming no adjoint."""
+    c1 = cadd(cmul(x.a1, y.a1.conjugate()), cmul(x.a2.conjugate(), y.a2))
+    c2 = csub(cmul(x.a2, y.a1.conjugate()), cmul(x.a1.conjugate(), y.a2))
+    return AlamoutiBlock(c1, c2)
+
+
+def ab_adjoint_mul(x: AlamoutiBlock, y: AlamoutiBlock) -> AlamoutiBlock:
+    """x^H y: the sums of `ab_mul(ab_adjoint(x), y)`, forming no adjoint."""
+    c1 = cadd(cmul(x.a1.conjugate(), y.a1), cmul(x.a2.conjugate(), y.a2))
+    c2 = csub(cmul(x.a1, y.a2), cmul(x.a2, y.a1))
     return AlamoutiBlock(c1, c2)
 
 
@@ -99,7 +115,7 @@ def ab_scale_real(r: float, x: AlamoutiBlock) -> AlamoutiBlock:
 
 def ab_apply(x: AlamoutiBlock, c1: complex, c2: complex):
     """Block times a length-2 column: 4 complex mults + 2 complex adds."""
-    out1 = cadd(cmul(x.a1, c1), -cmul(x.a2.conjugate(), c2))
+    out1 = csub(cmul(x.a1, c1), cmul(x.a2.conjugate(), c2))
     out2 = cadd(cmul(x.a2, c1), cmul(x.a1.conjugate(), c2))
     return out1, out2
 
@@ -107,7 +123,7 @@ def ab_apply(x: AlamoutiBlock, c1: complex, c2: complex):
 def ab_adjoint_apply(x: AlamoutiBlock, c1: complex, c2: complex):
     """Adjoint of block times a length-2 column: 4 complex mults + 2 adds."""
     out1 = cadd(cmul(x.a1.conjugate(), c1), cmul(x.a2.conjugate(), c2))
-    out2 = cadd(-cmul(x.a2, c1), cmul(x.a1, c2))
+    out2 = csub(cmul(x.a1, c2), cmul(x.a2, c1))
     return out1, out2
 
 
@@ -242,14 +258,20 @@ def sbm_matvec(a: StructuredHermitianBlockMatrix, v) -> list:
     """Compressed matrix times block column vector.
 
     Diagonal blocks use the cheap real-scalar path (4 real mults); off
-    diagonals are full block products.  `v` is a sequence of m
+    diagonals are full block products, a lower one taken as the adjoint of
+    its stored upper block (`ab_adjoint_mul`).  `v` is a sequence of m
     AlamoutiBlocks; returns a list of m AlamoutiBlocks.
     """
     out = []
     for i in range(a.m):
         acc = None
         for j in range(a.m):
-            term = ab_scale_real(a.diag[i], v[i]) if j == i else ab_mul(a.block(i, j), v[j])
+            if j == i:
+                term = ab_scale_real(a.diag[i], v[i])
+            elif i < j:
+                term = ab_mul(a.upper[a._uidx(i, j)], v[j])
+            else:
+                term = ab_adjoint_mul(a.upper[a._uidx(j, i)], v[j])
             acc = term if acc is None else ab_add(acc, term)
         out.append(acc)
     return out

@@ -5,12 +5,13 @@ stacked received block `x` of shape (B, 2N), check them as the scalar
 detectors do, and return (B, 2M) decisions and soft values.
 
 `proposed` and `fixed_order` run the counted recursion of
-`gstbc.detectors` itself over the block stored batch-last, so each
-compressed entry is a (B,) array and a `flop_scope` around a call counts
-one instance.  The dense references are whole-array numpy: `linear_mmse`
-solves once, and the two symbol-wise SIC references share `_masked_sic`,
-which inverts the regularized Gram once and downdates it by rank one
-after each detected symbol.
+`gstbc.detectors` itself over the gains stored batch-last, (N, 2M, B), so
+each compressed entry is a (B,) array and a `flop_scope` around a call
+counts one instance; no equivalent channel is built for it.  The dense
+references are whole-array numpy: `linear_mmse` solves once, and the two
+symbol-wise SIC references share `_masked_sic`, which inverts the
+regularized Gram once and downdates it by rank one after each detected
+symbol.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import detectors
-from .channel import EquivalentChannel, equivalent_channel_batch, equivalent_channel_batch_last
+from .channel import ChannelMatrix, equivalent_channel_batch
 from .errors import TIE_REL_TOL, InvalidDimensions, NonPositiveAlpha, SingularPivot
 from .modulation import qpsk_slice_array
 
@@ -46,7 +47,7 @@ def _check_block(h, x, alpha):
 def _recursive_block(h, x, alpha, slicer, ordered):
     _check_block(h, x, alpha)
     res = detectors._detect_recursive(
-        EquivalentChannel(equivalent_channel_batch_last(h)),
+        ChannelMatrix(np.ascontiguousarray(h.transpose(1, 2, 0))),
         np.ascontiguousarray(x.T),
         alpha,
         slicer,

@@ -36,7 +36,6 @@ __all__ = [
     "generate_channel",
     "build_equivalent",
     "equivalent_channel_batch",
-    "equivalent_channel_batch_last",
     "second_slot",
     "transmit",
 ]
@@ -119,14 +118,6 @@ def equivalent_channel_batch(h: np.ndarray) -> np.ndarray:
     """(..., N, 2M) physical gains to (..., 2N, 2M) equivalent channels."""
     out = np.empty(h.shape[:-2] + (2 * h.shape[-2], h.shape[-1]), dtype=np.complex128)
     return _equivalent_rows(h, out)
-
-
-def equivalent_channel_batch_last(h: np.ndarray) -> np.ndarray:
-    """(B, N, 2M) physical gains to batch-last (2N, 2M, B) equivalent channels."""
-    b, n, two_m = h.shape
-    out = np.empty((2 * n, two_m, b), dtype=np.complex128)
-    _equivalent_rows(h, out.transpose(2, 0, 1))
-    return out
 
 
 def build_equivalent(h: ChannelMatrix) -> EquivalentChannel:

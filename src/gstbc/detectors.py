@@ -16,11 +16,13 @@ order (equivalent, decision for decision, to `detect_gstbc`), and the
 recursion with ordering disabled.  The dense references use the counted
 helpers in `gstbc.dense`, so every detector reports its flop tally.
 
-The recursion is written once.  Each compressed entry is a Python number
-for one instance, or a (B,) array for a block of B instances stored
-batch-last, which is how `gstbc.batch` runs `proposed` and `fixed_order`;
-a `flop_scope` around a block counts one instance.  Only the front end,
-the ordering, the guards and the output (`_scatter`) tell the two apart.
+The recursion is written once and reads only the physical gains, never a
+built equivalent channel.  Each compressed entry is a Python number for
+one instance, or a (B,) array for a block of B instances whose gains are
+stored batch-last (N x 2M x B), which is how `gstbc.batch` runs `proposed`
+and `fixed_order`; a `flop_scope` around a block counts one instance.  Only
+the front end, the ordering, the guards and the output (`_scatter`) tell
+the two apart.
 """
 
 from __future__ import annotations
@@ -34,20 +36,18 @@ from .alamouti import (
     AlamoutiBlock,
     StructuredHermitianBlockMatrix,
     ab_adjoint_apply,
-    ab_add,
     ab_apply,
-    ab_adjoint,
-    ab_mul,
+    ab_mul_adjoint,
     ab_scale_real,
     ab_sub,
     sbm_leading,
     sbm_matvec,
     sbm_swap_blocks,
 )
-from .channel import ChannelMatrix, EquivalentChannel, ReceivedVector, build_equivalent
+from .channel import ChannelMatrix, EquivalentChannel, ReceivedVector, build_equivalent, equivalent_channel_batch
 from .dense import adjoint_apply, gj_inverse_hpd, gram_plus_alpha
 from .errors import IMAG_REL_TOL, PIVOT_REL_TOL, TIE_REL_TOL
-from .errors import InvalidDimensions, NonPositiveAlpha, SingularPivot
+from .errors import InvalidDimensions, NonPositiveAlpha, SingularPivot, StructureViolation
 from .flops import FlopCounter, cabs2, cadd, cmul, csub, flop_scope, radd, rcmul, rdiv, rmul, rsub
 from .modulation import qpsk_slice
 
@@ -103,19 +103,10 @@ def _as_array(x):
     return x.entries if isinstance(x, ReceivedVector) else np.asarray(x)
 
 
-def _as_equivalent(hp):
-    """Accept the physical gains or the already-stacked equivalent form.
-
-    Assembling the equivalent channel is sign flips and conjugations
-    only, which the operation convention does not charge.
-    """
-    if isinstance(hp, ChannelMatrix):
-        hp = build_equivalent(hp)
-    return hp
-
-
 def _check_instance(hp, x, alpha: float):
-    a = np.asarray(_as_equivalent(hp).array)
+    """Check the gains, or the already-stacked equivalent form, and the
+    samples; return the equivalent channel and the samples as arrays."""
+    a = np.asarray((build_equivalent(hp) if isinstance(hp, ChannelMatrix) else hp).array)
     xv = _as_array(x)
     if a.ndim != 2 or a.shape[0] % 2 or a.shape[1] % 2 or a.shape[1] == 0:
         raise InvalidDimensions(f"equivalent channel must be 2N x 2M, got {a.shape}")
@@ -129,27 +120,42 @@ def _check_instance(hp, x, alpha: float):
 
 
 def _front_end(hp):
-    """The equivalent channel and its conversion to entries: nested Python
-    numbers for one instance, (B,) arrays for a batch-last block (2N x 2M x B,
-    samples 2N x B), which stays as it is."""
-    a = np.asarray(_as_equivalent(hp).array)
-    return a, (np.asarray if a.ndim == 3 else np.ndarray.tolist)
+    """The gains (N x 2M) and their conversion to entries: Python numbers
+    for one instance, (B,) arrays for a batch-last block (N x 2M x B,
+    samples 2N x B).  An equivalent channel gives its even rows once its
+    odd rows are checked to be exactly their Alamouti partners."""
+    if isinstance(hp, EquivalentChannel):
+        a = np.asarray(hp.array)
+        lead = np.moveaxis(a, -1, 0) if a.ndim == 3 else a
+        if not np.array_equal(equivalent_channel_batch(lead[..., 0::2, :]), lead):
+            raise StructureViolation("equivalent channel rows are not the Alamouti pairs of its even rows")
+        g = a[0::2]
+    else:
+        g = np.asarray(hp.gains)
+    return g, (np.asarray if g.ndim == 3 else np.ndarray.tolist)
 
 
 def matched_filter(hp, x) -> tuple:
-    """Return H'^H x' as a tuple of 2M complex values."""
-    a, entries = _front_end(hp)
+    """Return H'^H x' as a tuple of 2M complex values.
+
+    From the gains h, over antennas r in the equivalent rows' order:
+    symbol 2i sums conj(h[r,2i]) x[2r] + h[r,2i+1] x[2r+1], and symbol
+    2i+1 sums conj(h[r,2i+1]) x[2r] - h[r,2i] x[2r+1].
+    """
+    g, entries = _front_end(hp)
     xv = _as_array(x)
-    if len(xv) != a.shape[0]:
-        raise InvalidDimensions(f"received vector length {len(xv)} does not match 2N={a.shape[0]}")
-    rows = entries(a)
+    if len(xv) != 2 * g.shape[0]:
+        raise InvalidDimensions(f"received vector length {len(xv)} does not match 2N={2 * g.shape[0]}")
+    rows = entries(g)
     xs = entries(xv)
-    n_rows = len(xs)
     out = []
-    for k in range(a.shape[1]):
+    for k in range(g.shape[1]):
+        add_partner = csub if k % 2 else cadd
         acc = cmul(rows[0][k].conjugate(), xs[0])
-        for r in range(1, n_rows):
-            acc = cadd(acc, cmul(rows[r][k].conjugate(), xs[r]))
+        for r, row in enumerate(rows):
+            if r:
+                acc = cadd(acc, cmul(row[k].conjugate(), xs[2 * r]))
+            acc = add_partner(acc, cmul(row[k ^ 1], xs[2 * r + 1]))
         out.append(acc)
     return tuple(out)
 
@@ -164,13 +170,13 @@ def init_gram(hp, alpha: float) -> StructuredHermitianBlockMatrix:
     """
     if not alpha > 0:
         raise NonPositiveAlpha(f"alpha must be > 0, got {alpha}")
-    arr, entries = _front_end(hp)
-    m = arr.shape[1] // 2
-    n = arr.shape[0] // 2
+    g, entries = _front_end(hp)
+    m = g.shape[1] // 2
+    n = g.shape[0]
     # per receive antenna and layer: a = gain of the first antenna in the
     # pair, b = gain of the second; redundancy rows are implied
-    a = entries(arr[0::2, 0::2])
-    b = entries(arr[0::2, 1::2])
+    a = entries(g[:, 0::2])
+    b = entries(g[:, 1::2])
     diag = []
     for i in range(m):
         acc = radd(cabs2(a[0][i]), cabs2(b[0][i]))
@@ -261,8 +267,7 @@ def init_covariance(rbar: StructuredHermitianBlockMatrix) -> StructuredHermitian
         new_upper = []
         for i in range(k):
             for j in range(i + 1, k):
-                neg_wj = AlamoutiBlock(-w[j].a1, -w[j].a2)
-                new_upper.append(ab_add(q.block(i, j), ab_mul(u[i], ab_adjoint(neg_wj))))
+                new_upper.append(ab_sub(q.block(i, j), ab_mul_adjoint(u[i], w[j])))
             new_upper.append(w[i])
         q = StructuredHermitianBlockMatrix(mm, tuple(new_diag), tuple(new_upper))
     return q
@@ -317,32 +322,45 @@ def permute_workspace(ws: DetectorWorkspace, l: int) -> DetectorWorkspace:
 
 def _swap_merged(ws: DetectorWorkspace, k) -> DetectorWorkspace:
     """`permute_workspace` per instance: block k[b] trades places with the
-    last block.  hit[t] marks the instances with k == t; there an entry
-    takes its value under the swap of block t with the last."""
+    last block.  For each t, the instances with k == t are listed once;
+    an entry the swap of block t moves is copied once, and its value
+    under that swap is gathered at those instances and scattered in."""
     m = ws.m
     last = m - 1
-    hit = [k == t for t in range(last)]
+    hits = [(t, idx) for t in range(last) if (idx := np.flatnonzero(k == t)).size]
 
-    def pick(h, x, y):
-        if isinstance(x, AlamoutiBlock):
-            return AlamoutiBlock(np.where(h, x.a1, y.a1), np.where(h, x.a2, y.a2))
-        return np.where(h, x, y)
-
-    def merged(get, *pos):
-        out = get(*pos)
-        for t, h in enumerate(hit):
+    def merged(at, *pos):
+        # `at(*pos, idx)` reads the entry at pos for the instances idx
+        base = out = at(*pos, slice(None))
+        for t, idx in hits:
             moved = tuple(last if q == t else t if q == last else q for q in pos)
             if moved != pos:
-                out = pick(h, get(*moved), out)
+                if out is base:
+                    out = base.copy()
+                out[idx] = at(*moved, idx)
         return out
 
     def matrix(a):
-        diag = tuple(merged(a.diag.__getitem__, i) for i in range(m))
-        upper = tuple(merged(a.block, i, j) for i in range(m) for j in range(i + 1, m))
+        def part(c):
+            # a lower-triangle read takes the adjoint of the gathered subset
+            def at(i, j, idx):
+                if i < j:
+                    return a.upper[a._uidx(i, j)][c][idx]
+                x = a.upper[a._uidx(j, i)][c][idx]
+                return -x if c else x.conjugate()
+            return at
+
+        diag = tuple(merged(lambda i, idx: a.diag[i][idx], i) for i in range(m))
+        upper = tuple(
+            AlamoutiBlock(merged(part(0), i, j), merged(part(1), i, j))
+            for i in range(m) for j in range(i + 1, m)
+        )
         return StructuredHermitianBlockMatrix(m, diag, upper)
 
-    z = tuple(merged(lambda i, o=s % 2: ws.z[2 * i + o], s // 2) for s in range(2 * m))
-    p = tuple(merged(ws.p.__getitem__, i) for i in range(m)) + ws.p[m:]
+    z = tuple(merged(lambda i, idx, o=s % 2: ws.z[2 * i + o][idx], s // 2) for s in range(2 * m))
+    # positions start as Python ints; broadcasting makes each an array
+    pos = [np.broadcast_to(q, k.shape) for q in ws.p[:m]]
+    p = tuple(merged(lambda i, idx: pos[i][idx], i) for i in range(m)) + ws.p[m:]
     return DetectorWorkspace(m, matrix(ws.Rbar), matrix(ws.Qbar), z, p, ws.alpha)
 
 
@@ -385,7 +403,7 @@ def deflate_covariance(ws: DetectorWorkspace) -> StructuredHermitianBlockMatrix:
     upper = []
     for i in range(m - 1):
         for j in range(i + 1, m - 1):
-            upper.append(ab_sub(q.block(i, j), ab_mul(wt[i], ab_adjoint(w[j]))))
+            upper.append(ab_sub(q.block(i, j), ab_mul_adjoint(wt[i], w[j])))
     return StructuredHermitianBlockMatrix(m - 1, tuple(diag), tuple(upper))
 
 
@@ -440,7 +458,7 @@ def _detect_recursive(hp, x, alpha, slicer, ordered, record_trace):
     with flop_scope(local):
         z = matched_filter(hp, x)
         rbar = init_gram(hp, alpha)
-        # over a block the equivalent channel is the largest array held;
+        # over a block the gains are the largest array held;
         # nothing below reads it
         del hp, x
         qbar = init_covariance(rbar)

@@ -63,10 +63,14 @@ class SimConfig:
             )
         if not self.snr_db:
             raise ConfigInvalid("snr_db grid must be nonempty")
-        if not all(math.isfinite(v) for v in self.snr_db):
-            raise ConfigInvalid(f"snr_db values must be finite, got {self.snr_db}")
         if not 0 < self.sigma_s2 < math.inf:
             raise ConfigInvalid(f"sigma_s2 must be finite and > 0, got {self.sigma_s2}")
+        try:
+            noise = [sigma_n2_for_snr(v, self.sigma_s2) for v in self.snr_db]
+        except (OverflowError, ZeroDivisionError):
+            noise = [math.nan]
+        if not all(0 < v < math.inf and 0 < v / self.sigma_s2 < math.inf for v in noise):
+            raise ConfigInvalid(f"snr_db values must give a noise variance and alpha finite and > 0, got {self.snr_db}")
         unknown = [d for d in self.detectors if d not in DETECTORS]
         if unknown:
             raise ConfigInvalid(f"unknown detectors: {unknown}; known: {sorted(DETECTORS)}")

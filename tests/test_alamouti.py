@@ -12,7 +12,9 @@ from gstbc.alamouti import (
     ab_apply,
     ab_dense,
     ab_from_dense,
+    ab_adjoint_mul,
     ab_mul,
+    ab_mul_adjoint,
     ab_scale_real,
     ab_sub,
     sbm_build,
@@ -24,6 +26,7 @@ from gstbc.alamouti import (
     sbm_to_dense,
 )
 from gstbc.errors import StructureViolation
+from gstbc.flops import FlopCounter, flop_scope
 
 RNG = np.random.default_rng(90210)
 
@@ -187,3 +190,22 @@ def test_sbm_rejects_bad_shapes():
         StructuredHermitianBlockMatrix(2, (1.0, 2.0), (AB_ZERO, AB_ZERO))  # upper too long
     with pytest.raises(StructureViolation):
         sbm_from_dense(np.eye(5))  # odd size
+
+
+def test_adjoint_products_equal_composed_forms():
+    # x y^H and x^H y without forming the adjoint: bitwise the composed
+    # values at an equal count, on Python numbers and on (B,) arrays
+    arr = RNG.standard_normal((4, 200)) + 1j * RNG.standard_normal((4, 200))
+    cases = [(random_block(), random_block()) for _ in range(20)]
+    cases.append((AlamoutiBlock(arr[0], arr[1]), AlamoutiBlock(arr[2], arr[3])))
+    for x, y in cases:
+        for fast, slow in ((ab_mul_adjoint, lambda p, q: ab_mul(p, ab_adjoint(q))),
+                           (ab_adjoint_mul, lambda p, q: ab_mul(ab_adjoint(p), q))):
+            c_fast, c_slow = FlopCounter(), FlopCounter()
+            with flop_scope(c_fast):
+                got = fast(x, y)
+            with flop_scope(c_slow):
+                want = slow(x, y)
+            assert c_fast == c_slow
+            for g, w in zip(got, want):
+                assert np.asarray(g).tobytes() == np.asarray(w).tobytes()

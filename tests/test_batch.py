@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from gstbc.batch import detect_fixed_order_batch, detect_gstbc_batch, equivalent_channel_batch
-from gstbc.channel import ChannelMatrix, EquivalentChannel, build_equivalent, equivalent_channel_batch_last
+from gstbc.alamouti import AlamoutiBlock, StructuredHermitianBlockMatrix, sbm_swap_blocks, sbm_to_dense
+from gstbc.channel import ChannelMatrix, EquivalentChannel, build_equivalent
 from gstbc.complexity import cost_recursive
 from gstbc.detectors import (
     SCALAR_DETECTORS,
@@ -147,7 +148,7 @@ def test_permute_workspace_rejects_bad_block_indices():
     # the per-instance swap of a batch-last workspace checks every index
     rng = np.random.default_rng(52)
     h, _, x = random_batch(rng, 4, 3, 3, 0.1)
-    hp = EquivalentChannel(equivalent_channel_batch_last(h))
+    hp = ChannelMatrix(np.ascontiguousarray(h.transpose(1, 2, 0)))
     rbar = init_gram(hp, 0.1)
     ws = DetectorWorkspace(3, rbar, init_covariance(rbar), matched_filter(hp, x.T), (0, 1, 2), 0.1)
     for bad in (0, 1, 3, 8):
@@ -155,3 +156,72 @@ def test_permute_workspace_rejects_bad_block_indices():
         index[2] = bad
         with pytest.raises(InvalidDimensions):
             permute_workspace(ws, index)
+
+
+def _batch_last(h):
+    return ChannelMatrix(np.ascontiguousarray(h.transpose(1, 2, 0)))
+
+
+def _instance(a, b):
+    """Instance b of a batch-last compressed matrix, as Python numbers."""
+    return StructuredHermitianBlockMatrix(
+        a.m,
+        tuple(d[b].item() for d in a.diag),
+        tuple(AlamoutiBlock(u.a1[b].item(), u.a2[b].item()) for u in a.upper),
+    )
+
+
+def _same_bits(x, y):
+    return np.asarray(x, dtype=np.complex128).tobytes() == np.asarray(y, dtype=np.complex128).tobytes()
+
+
+def test_front_end_reads_the_gains():
+    # on a batch-last block the matched filter and the Gram are, per
+    # instance, H'^H x' and H'^H H' + alpha I of the equivalent channel,
+    # and an equivalent-channel input gives bitwise the same entries
+    rng = np.random.default_rng(53)
+    h, _, x = random_batch(rng, 6, 3, 4, 0.1)
+    hp = equivalent_channel_batch(h)
+    z = matched_filter(_batch_last(h), x.T)
+    rbar = init_gram(_batch_last(h), 0.1)
+    eq = EquivalentChannel(np.ascontiguousarray(hp.transpose(1, 2, 0)))
+    assert all(_same_bits(a, b) for a, b in zip(z, matched_filter(eq, x.T)))
+    other = init_gram(eq, 0.1)
+    assert all(_same_bits(a, b) for a, b in zip(other.diag, rbar.diag))
+    assert all(_same_bits(u, v) for a, b in zip(other.upper, rbar.upper) for u, v in zip(a, b))
+    for b in range(6):
+        dense = np.conj(hp[b]).T
+        assert np.allclose([v[b] for v in z], dense @ x[b], rtol=1e-13, atol=1e-13)
+        gram = dense @ hp[b] + 0.1 * np.eye(6)
+        assert np.allclose(sbm_to_dense(_instance(rbar, b)), gram, rtol=1e-13, atol=1e-13)
+        # one instance: the gains and the built equivalent channel agree bitwise
+        one = ChannelMatrix(h[b])
+        assert matched_filter(one, x[b]) == matched_filter(build_equivalent(one), x[b])
+        assert init_gram(one, 0.1) == init_gram(build_equivalent(one), 0.1)
+
+
+def test_block_swap_matches_scalar_swap():
+    # the per-instance swap equals, instance by instance and bitwise, the
+    # scalar swap of the same workspace, k == last included
+    rng = np.random.default_rng(54)
+    m, count = 4, 40
+    h, _, x = random_batch(rng, count, m, 4, 0.1)
+    rbar = init_gram(_batch_last(h), 0.1)
+    z = matched_filter(_batch_last(h), x.T)
+    ws = DetectorWorkspace(m, rbar, init_covariance(rbar), z, tuple(range(m)), 0.1)
+    k = rng.integers(0, m, size=count)
+    k[:m] = np.arange(m)
+    swapped = permute_workspace(ws, 2 * (k + 1))
+    for b in range(count):
+        kb, last = int(k[b]), m - 1
+        zb = [v[b].item() for v in z]
+        zb[2 * kb : 2 * kb + 2], zb[2 * last :] = zb[2 * last :], zb[2 * kb : 2 * kb + 2]
+        pb = list(range(m))
+        pb[kb], pb[last] = pb[last], pb[kb]
+        for got, want in ((swapped.Rbar, sbm_swap_blocks(_instance(rbar, b), kb, last)),
+                          (swapped.Qbar, sbm_swap_blocks(_instance(ws.Qbar, b), kb, last))):
+            assert all(_same_bits(d[b], e) for d, e in zip(got.diag, want.diag)), b
+            assert all(_same_bits(u.a1[b], v.a1) and _same_bits(u.a2[b], v.a2)
+                       for u, v in zip(got.upper, want.upper)), b
+        assert all(_same_bits(v[b], w) for v, w in zip(swapped.z, zb)), b
+        assert [int(np.broadcast_to(q, k.shape)[b]) for q in swapped.p] == pb, b

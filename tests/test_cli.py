@@ -205,6 +205,10 @@ def test_ber_command_rejects_bad_config(capsys):
     assert "snr-step" in capsys.readouterr().err
     assert main(["ber", "--m", "3", "--n", "2", "--quiet"]) == 2
     assert "n_rx >= layers" in capsys.readouterr().err
+    for snr in ("4000", "-4000"):
+        one = ["ber", "--m", "1", "--n", "1", "--snr-start", snr, "--snr-stop", snr, "--quiet"]
+        assert main(one) == 2
+        assert "noise variance" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_is_refused(capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gstbc.alamouti import sbm_to_dense
-from gstbc.channel import NoiseSpec, build_equivalent, generate_channel, keyed_generator, transmit
+from gstbc.channel import EquivalentChannel, NoiseSpec, build_equivalent, generate_channel, keyed_generator, transmit
 from gstbc.detectors import (
     SCALAR_DETECTORS,
     DetectorWorkspace,
@@ -18,7 +18,7 @@ from gstbc.detectors import (
     matched_filter,
     permute_workspace,
 )
-from gstbc.errors import InvalidDimensions, NonPositiveAlpha
+from gstbc.errors import InvalidDimensions, NonPositiveAlpha, StructureViolation
 from gstbc.modulation import qpsk_modulate
 
 
@@ -198,3 +198,23 @@ def test_ordering_is_free():
     a = detect_gstbc(h, x, alpha=0.1)
     b = detect_fixed_order(h, x, alpha=0.1)
     assert (a.flops.real_mults, a.flops.real_adds) == (b.flops.real_mults, b.flops.real_adds)
+
+
+def test_recursion_rejects_unstructured_equivalent_channel():
+    # the recursion reads only the even rows, so odd rows that are not
+    # their Alamouti partners would give a silently wrong answer
+    rng = np.random.default_rng(33)
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    for det in (detect_gstbc, detect_fixed_order):
+        with pytest.raises(StructureViolation):
+            det(EquivalentChannel(a), x, alpha=0.1)
+    # one flipped sign in an odd row of a true equivalent channel
+    h, _, xs = random_instance(rng, 2, 2)
+    hp = np.asarray(build_equivalent(h).array).copy()
+    hp[3, 1] = -hp[3, 1]
+    with pytest.raises(StructureViolation):
+        detect_gstbc(EquivalentChannel(hp), xs, alpha=0.1)
+    # the dense detectors take any 2N x 2M input
+    want = np.linalg.solve(np.conj(a).T @ a + 0.1 * np.eye(4), np.conj(a).T @ x)
+    assert np.allclose(detect_linear_mmse(EquivalentChannel(a), x, alpha=0.1).soft, want)

@@ -34,7 +34,8 @@ def test_config_validation():
         SimConfig(layers=2, n_rx=2, modulation="16qam")
     for bad in ({"sigma_s2": -1.0}, {"sigma_s2": 0.0}, {"sigma_s2": float("nan")},
                 {"sigma_s2": float("inf")}, {"snr_db": (0.0, float("nan"))},
-                {"snr_db": (float("inf"),)}):
+                {"snr_db": (float("inf"),)}, {"snr_db": (4000.0,)}, {"snr_db": (-4000.0,)},
+                {"snr_db": (-3100.0,), "sigma_s2": 1e-10}):
         with pytest.raises(ConfigInvalid):
             SimConfig(layers=1, n_rx=1, **bad)
 
