@@ -4,19 +4,27 @@ All engines take the physical channel `h` of shape (B, N, 2M) and the
 stacked received block `x` of shape (B, 2N), check them as the scalar
 detectors do, and return (B, 2M) decisions and soft values.
 
+Every engine reads its block through a `PreparedBlock`, which checks the
+block once and computes each front end on first use: the recursion's
+starting state, the dense Gram with its matched filter, and that Gram's
+inverse.  A sweep builds one per drawn block and passes it as `prepared=`
+to every detector, so the front ends are computed once per block; a call
+without it builds its own, so both calls run the same code.
+
 `proposed` and `fixed_order` run the counted recursion of
 `gstbc.detectors` itself over the gains stored batch-last, (N, 2M, B), so
-each compressed entry is a (B,) array and a `flop_scope` around a call
-counts one instance; no equivalent channel is built for it.  The dense
-references are whole-array numpy: `linear_mmse` solves once, and the two
-symbol-wise SIC references share `_masked_sic`, which inverts the
-regularized Gram once and downdates it by rank one after each detected
+each compressed entry is a (B,) array and a `flop_scope` around an
+unprepared call counts one instance; no equivalent channel is built for
+it.  The dense references are whole-array numpy: `linear_mmse` solves
+once, and the two symbol-wise SIC references share `_masked_sic`, which
+downdates a copy of the block's inverse by rank one after each detected
 symbol.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,54 +52,91 @@ def _check_block(h, x, alpha):
         raise InvalidDimensions("channel gains and received samples must be finite")
 
 
-def _recursive_block(h, x, alpha, slicer, ordered):
-    _check_block(h, x, alpha)
-    res = detectors._detect_recursive(
-        ChannelMatrix(np.ascontiguousarray(h.transpose(1, 2, 0))),
-        np.ascontiguousarray(x.T),
-        alpha,
-        slicer,
-        ordered,
-        record_trace=False,
-    )
-    return BatchDetection(res.decisions, res.soft)
+class PreparedBlock:
+    """One checked block and the front ends its detectors share.
+
+    Built from the physical channels `h` (B, N, 2M), the stacked samples
+    `x` (B, 2N) and `alpha`, which it checks once.  Each front end is
+    computed on first use and then kept for every later detector on the
+    same block: `workspace`, the recursion's starting state over the
+    batch-last gains; `dense`, the regularized Gram and matched filter of
+    the equivalent channel; `dense_inverse`, that Gram's inverse.
+    Detectors only read these; the dense arrays are marked read-only.
+    """
+
+    def __init__(self, h, x, alpha):
+        _check_block(h, x, alpha)
+        self.h = h
+        self.x = x
+        self.alpha = alpha
+
+    @cached_property
+    def workspace(self) -> detectors.DetectorWorkspace:
+        return detectors._start_workspace(
+            ChannelMatrix(np.ascontiguousarray(self.h.transpose(1, 2, 0))),
+            np.ascontiguousarray(self.x.T),
+            self.alpha,
+        )
+
+    @cached_property
+    def dense(self) -> tuple:
+        """Regularized Gram H'^H H' + alpha I and matched filter H'^H x'."""
+        hp = equivalent_channel_batch(self.h)
+        hh = np.conj(hp).swapaxes(1, 2)
+        g = hh @ hp
+        idx = np.arange(g.shape[1])
+        g[:, idx, idx] += self.alpha
+        z = (hh @ self.x[:, :, None])[:, :, 0]
+        g.flags.writeable = z.flags.writeable = False
+        return g, z
+
+    @cached_property
+    def dense_inverse(self) -> np.ndarray:
+        q = np.linalg.inv(self.dense[0])
+        q.flags.writeable = False
+        return q
 
 
-def detect_gstbc_batch(h, x, alpha, slicer=qpsk_slice_array) -> BatchDetection:
+def _prepare(h, x, alpha, prepared) -> PreparedBlock:
+    """`prepared` if it was built from this very block, else a new block."""
+    if prepared is None:
+        return PreparedBlock(h, x, alpha)
+    if prepared.h is not h or prepared.x is not x or prepared.alpha != alpha:
+        raise ValueError("prepared block was built from a different (h, x, alpha)")
+    return prepared
+
+
+def _recursive_block(h, x, alpha, slicer, ordered, prepared):
+    ws = _prepare(h, x, alpha, prepared).workspace
+    decisions, soft, _, _ = detectors._recurse(ws, slicer, ordered, record_trace=False)
+    return BatchDetection(decisions, soft)
+
+
+def detect_gstbc_batch(h, x, alpha, slicer=qpsk_slice_array, prepared=None) -> BatchDetection:
     """`detectors.detect_gstbc` over a block."""
-    return _recursive_block(h, x, alpha, slicer, True)
+    return _recursive_block(h, x, alpha, slicer, True, prepared)
 
 
-def detect_fixed_order_batch(h, x, alpha, slicer=qpsk_slice_array) -> BatchDetection:
+def detect_fixed_order_batch(h, x, alpha, slicer=qpsk_slice_array, prepared=None) -> BatchDetection:
     """`detectors.detect_fixed_order` over a block."""
-    return _recursive_block(h, x, alpha, slicer, False)
+    return _recursive_block(h, x, alpha, slicer, False, prepared)
 
 
-def _dense_system(h, x, alpha):
-    """Regularized Gram H'^H H' + alpha I and matched filter H'^H x'."""
-    _check_block(h, x, alpha)
-    hp = equivalent_channel_batch(h)
-    hh = np.conj(hp).swapaxes(1, 2)
-    g = hh @ hp
-    idx = np.arange(g.shape[1])
-    g[:, idx, idx] += alpha
-    return g, (hh @ x[:, :, None])[:, :, 0]
-
-
-def detect_linear_mmse_batch(h, x, alpha, slicer=qpsk_slice_array) -> BatchDetection:
+def detect_linear_mmse_batch(h, x, alpha, slicer=qpsk_slice_array, prepared=None) -> BatchDetection:
     """Batched mirror of `detectors.detect_linear_mmse`."""
-    g, z = _dense_system(h, x, alpha)
+    g, z = _prepare(h, x, alpha, prepared).dense
     soft = np.linalg.solve(g, z[:, :, None])[:, :, 0]
     return BatchDetection(slicer(soft), soft)
 
 
-def _masked_sic(h, x, alpha, slicer, groupwise):
+def _masked_sic(block, slicer, groupwise):
     """Dense MMSE-SIC over all 2M symbols with one inverse per block.
 
-    The regularized Gram G is inverted once.  At each step the chosen
-    symbol j is estimated from row j of the inverse and the running
-    matched filter z, sliced, and cancelled through the Gram column,
-    z -= G[:, j] d.  The inverse is then downdated by rank one,
+    The block's regularized Gram G is inverted once; its inverse and the
+    matched filter z are copied here, since both are updated in place.  At
+    each step the chosen symbol j is estimated from row j of the inverse
+    and the running matched filter z, sliced, and cancelled through the
+    Gram column, z -= G[:, j] d.  The inverse is then downdated by rank one,
     Q <- Q - q_j q_j^H / q_jj, which leaves the inverse of G without row
     and column j (the dense form of `deflate_covariance`), and row and
     column j are zeroed so the detected symbol drops out.
@@ -101,11 +146,12 @@ def _masked_sic(h, x, alpha, slicer, groupwise):
     remaining symbol goes next, diagonals within TIE_REL_TOL of the
     minimum tying to the lowest index, as in the scalar reference.
     """
-    g, z = _dense_system(h, x, alpha)
+    g, z = block.dense
+    z = z.copy()
+    q = block.dense_inverse.copy()
     b, two_m = z.shape
     rows = np.arange(b)
     idx = np.arange(two_m)
-    q = np.linalg.inv(g)
     live = np.ones((b, two_m), dtype=bool)
     decisions = np.empty((b, two_m), dtype=np.complex128)
     soft = np.empty((b, two_m), dtype=np.complex128)
@@ -134,11 +180,11 @@ def _masked_sic(h, x, alpha, slicer, groupwise):
     return BatchDetection(decisions, soft)
 
 
-def detect_osic_symbolwise_batch(h, x, alpha, slicer=qpsk_slice_array) -> BatchDetection:
+def detect_osic_symbolwise_batch(h, x, alpha, slicer=qpsk_slice_array, prepared=None) -> BatchDetection:
     """Batched mirror of `detectors.detect_osic_symbolwise`."""
-    return _masked_sic(h, x, alpha, slicer, False)
+    return _masked_sic(_prepare(h, x, alpha, prepared), slicer, False)
 
 
-def detect_sic_groupwise_batch(h, x, alpha, slicer=qpsk_slice_array) -> BatchDetection:
+def detect_sic_groupwise_batch(h, x, alpha, slicer=qpsk_slice_array, prepared=None) -> BatchDetection:
     """Batched mirror of `detectors.detect_sic_groupwise_symbolwise`."""
-    return _masked_sic(h, x, alpha, slicer, True)
+    return _masked_sic(_prepare(h, x, alpha, prepared), slicer, True)

@@ -21,6 +21,7 @@ import argparse
 import cmath
 import math
 import sys
+import time
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .channel import ChannelMatrix, ReceivedVector
 from .complexity import format_flop_report, run_flop_report
 from .detectors import SCALAR_DETECTORS
 from .errors import GstbcError, ParseError
+from . import sim
 from .sim import DETECTORS, SimConfig, emit_csv, format_csv, run_ber_sweep
 
 
@@ -106,6 +108,10 @@ def _fmt_complex(c: complex) -> str:
 
 
 def _cmd_ber(args) -> int:
+    for flag, value in (("start", args.snr_start), ("stop", args.snr_stop), ("step", args.snr_step)):
+        if not math.isfinite(value):
+            print(f"error: --snr-{flag} must be finite, got {value}", file=sys.stderr)
+            return 2
     if args.snr_step <= 0:
         print("error: --snr-step must be positive", file=sys.stderr)
         return 2
@@ -125,14 +131,22 @@ def _cmd_ber(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
+    # a channel use counts once per detector, as in the sweep's records
+    per_point = config.trials * len(config.detectors)
+    total = per_point * len(config.snr_db)
+    start = time.perf_counter()
+
     def progress(point, block, blocks):
         if args.quiet:
             return
-        print(
-            f"\rsnr point {point + 1}/{len(config.snr_db)} block {block + 1}/{blocks}",
-            end="",
-            file=sys.stderr,
+        done = point * per_point + min((block + 1) * sim.BLOCK_SIZE, config.trials) * len(config.detectors)
+        rate = done / max(time.perf_counter() - start, 1e-9)
+        eta = round((total - done) / rate)
+        line = (
+            f"snr point {point + 1}/{len(config.snr_db)} block {block + 1}/{blocks}"
+            f"  {rate:,.0f} channel uses/s  ETA {eta // 60}:{eta % 60:02d}"
         )
+        print(f"\r{line:<79}", end="", file=sys.stderr)
 
     records = run_ber_sweep(config, progress=progress)
     if not args.quiet:
@@ -171,8 +185,8 @@ def _cmd_detect(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     if args.alpha is not None:
-        if not args.alpha > 0:
-            print(f"error: alpha must be > 0, got {args.alpha}", file=sys.stderr)
+        if not 0 < args.alpha < math.inf:
+            print(f"error: alpha must be > 0 and finite, got {args.alpha}", file=sys.stderr)
             return 2
         alpha = args.alpha
     try:

@@ -22,7 +22,9 @@ one instance, or a (B,) array for a block of B instances whose gains are
 stored batch-last (N x 2M x B), which is how `gstbc.batch` runs `proposed`
 and `fixed_order`; a `flop_scope` around a block counts one instance.  Only
 the front end, the ordering, the guards and the output (`_scatter`) tell
-the two apart.
+the two apart.  The recursion comes in two halves, the starting state
+(`_start_workspace`) and the layer loop (`_recurse`), so that every
+detector on one block can start from the same state.
 """
 
 from __future__ import annotations
@@ -448,42 +450,50 @@ def _scatter(steps, n_sym):
     return decisions, soft
 
 
-def _detect_recursive(hp, x, alpha, slicer, ordered, record_trace):
-    """The group-wise recursion on checked input: one instance, or a block
-    of instances stored batch-last (see `_front_end`)."""
+def _start_workspace(hp, x, alpha) -> DetectorWorkspace:
+    """The recursion's starting state on checked input: the matched filter,
+    the compressed Gram and its grown inverse, every layer in place.  One
+    instance, or a block of instances stored batch-last (see `_front_end`)."""
     m = hp.layers
-    local = FlopCounter()
+    z = matched_filter(hp, x)
+    rbar = init_gram(hp, alpha)
+    # over a block the gains are the largest array held;
+    # nothing below reads it
+    del hp, x
+    return DetectorWorkspace(m, rbar, init_covariance(rbar), z, tuple(range(m)), alpha)
+
+
+def _recurse(ws: DetectorWorkspace, slicer, ordered, record_trace):
+    """Detect every layer from a starting workspace, counting into the
+    current `flop_scope`; returns (decisions, soft, order, trace).  The
+    workspace is only read, so one start may serve several calls."""
+    m = ws.m
     trace = [] if record_trace else None
     steps = []
-    with flop_scope(local):
-        z = matched_filter(hp, x)
-        rbar = init_gram(hp, alpha)
-        # over a block the gains are the largest array held;
-        # nothing below reads it
-        del hp, x
-        qbar = init_covariance(rbar)
-        ws = DetectorWorkspace(m, rbar, qbar, z, tuple(range(m)), alpha)
-        for mm in range(m, 0, -1):
-            if mm > 1:
-                ws = permute_workspace(ws, select_layer(ws) if ordered else 2 * mm)
-            y1, y2 = estimate_layer(ws)
-            if record_trace:
-                trace.append(TraceStep(ws, y1, y2))
-            s1 = slicer(y1)
-            s2 = slicer(y2)
-            steps.append((ws.p[mm - 1], y1, y2, s1, s2))
-            if mm > 1:
-                ws = cancel_layer(ws, s1, s2)
+    for mm in range(m, 0, -1):
+        if mm > 1:
+            ws = permute_workspace(ws, select_layer(ws) if ordered else 2 * mm)
+        y1, y2 = estimate_layer(ws)
+        if record_trace:
+            trace.append(TraceStep(ws, y1, y2))
+        s1 = slicer(y1)
+        s2 = slicer(y2)
+        steps.append((ws.p[mm - 1], y1, y2, s1, s2))
+        if mm > 1:
+            ws = cancel_layer(ws, s1, s2)
     decisions, soft = _scatter(steps, 2 * m)
     # ws.p[mm - 1] froze at the step that detected depth mm, so the
     # detection sequence is p reversed
-    return DetectionResult(
-        decisions,
-        soft,
-        tuple(ws.p[::-1]),
-        local,
-        tuple(trace) if record_trace else None,
-    )
+    return decisions, soft, tuple(ws.p[::-1]), tuple(trace) if record_trace else None
+
+
+def _detect_recursive(hp, x, alpha, slicer, ordered, record_trace):
+    """The group-wise recursion on one checked instance, both halves
+    counted in one scope."""
+    local = FlopCounter()
+    with flop_scope(local):
+        decisions, soft, order, trace = _recurse(_start_workspace(hp, x, alpha), slicer, ordered, record_trace)
+    return DetectionResult(decisions, soft, order, local, trace)
 
 
 def detect_gstbc(

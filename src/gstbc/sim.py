@@ -10,7 +10,11 @@ and the regularizer passed to the detectors is alpha = sigma_n2 /
 sigma_s2.  Each point is split into fixed-size blocks; within a block
 every detector sees the same channels, symbols and noise (common random
 numbers), and the stream for (point, block) is keyed independently so
-results do not depend on evaluation order.
+results do not depend on evaluation order.  Each drawn block is wrapped
+once in a `batch.PreparedBlock`, so the detectors share its checks and
+front ends (the recursion's starting state, the dense Gram and matched
+filter, the Gram's inverse) instead of each rebuilding them; the block is
+dropped before the next draw.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch import (
+    PreparedBlock,
     detect_fixed_order_batch,
     detect_gstbc_batch,
     detect_linear_mmse_batch,
@@ -145,14 +150,17 @@ def run_ber_sweep(config: SimConfig, progress=None) -> list:
             h, bits, _, x = _draw_block(
                 rng, count, config.layers, config.n_rx, sigma_n2
             )
+            block = PreparedBlock(h, x, alpha)
             for name in config.detectors:
-                out = DETECTORS[name](h, x, alpha)
+                out = DETECTORS[name](h, x, alpha, prepared=block)
                 errs, ferrs = _bit_errors(out.decisions, bits)
                 t = tally[name]
                 t[0] += bits.size
                 t[1] += errs
                 t[2] += bits.shape[0]
                 t[3] += ferrs
+            # the cached front ends must not stay alive through the next draw
+            del block
             if progress is not None:
                 progress(point_idx, block_idx, blocks)
         for name in config.detectors:

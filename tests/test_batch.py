@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gstbc.batch import detect_fixed_order_batch, detect_gstbc_batch, equivalent_channel_batch
+from gstbc.batch import PreparedBlock, detect_fixed_order_batch, detect_gstbc_batch, equivalent_channel_batch
 from gstbc.alamouti import AlamoutiBlock, StructuredHermitianBlockMatrix, sbm_swap_blocks, sbm_to_dense
 from gstbc.channel import ChannelMatrix, EquivalentChannel, build_equivalent
 from gstbc.complexity import cost_recursive
@@ -74,6 +74,32 @@ def test_batch_noiseless_recovery():
         h, s, x = random_batch(rng, 40, 2, 3, sigma_n2=0.0)
         out = fn(h, x, alpha=1e-9)
         assert np.array_equal(out.decisions, s), name
+
+
+def test_shared_prepared_block_matches_fresh_calls():
+    # every detector reads the same prepared block in either order and
+    # returns bytewise what a call that prepares its own block returns, so
+    # no detector may write the cached inverse or matched filter
+    rng = np.random.default_rng(55)
+    h, _, x = random_batch(rng, 60, 3, 4, sigma_n2=0.3)
+    fresh = {name: fn(h, x, 0.15) for name, fn in BATCH_PAIRS.items()}
+    for names in (list(BATCH_PAIRS), list(BATCH_PAIRS)[::-1]):
+        block = PreparedBlock(h, x, 0.15)
+        for name in names:
+            out = BATCH_PAIRS[name](h, x, 0.15, prepared=block)
+            assert out.decisions.tobytes() == fresh[name].decisions.tobytes(), name
+            assert out.soft.tobytes() == fresh[name].soft.tobytes(), name
+
+
+def test_prepared_block_must_hold_the_call_block():
+    rng = np.random.default_rng(56)
+    h, _, x = random_batch(rng, 4, 2, 2, 0.1)
+    block = PreparedBlock(h, x, 0.1)
+    for fn in BATCH_PAIRS.values():
+        with pytest.raises(ValueError, match="different"):
+            fn(h.copy(), x, 0.1, prepared=block)
+        with pytest.raises(ValueError, match="different"):
+            fn(h, x, 0.2, prepared=block)
 
 
 def test_batch_rejects_bad_alpha():

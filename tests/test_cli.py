@@ -130,6 +130,8 @@ def test_detect_alpha_override(tmp_path, capsys):
     assert "alpha=0.125" in capsys.readouterr().out
     assert main(["detect", "--input", str(path), "--alpha", "-1"]) == 2
     assert "alpha must be > 0" in capsys.readouterr().err
+    assert main(["detect", "--input", str(path), "--alpha", "inf"]) == 2
+    assert "alpha must be > 0 and finite" in capsys.readouterr().err
 
 
 def test_detect_zero_input_slices_to_first_quadrant(tmp_path, capsys):
@@ -196,6 +198,12 @@ def test_ber_command_stdout_and_file(tmp_path, capsys):
     assert f"wrote {out_path}" in capsys.readouterr().out
     assert out_path.read_text() == first
 
+    # without --quiet the progress line goes to stderr only
+    assert main(argv[:-1]) == 0
+    shown = capsys.readouterr()
+    assert shown.out == first
+    assert "block 1/1" in shown.err and "channel uses/s" in shown.err and "ETA" in shown.err
+
 
 def test_ber_command_rejects_bad_config(capsys):
     base = ["ber", "--m", "2", "--n", "2", "--trials", "10", "--quiet"]
@@ -209,6 +217,10 @@ def test_ber_command_rejects_bad_config(capsys):
         one = ["ber", "--m", "1", "--n", "1", "--snr-start", snr, "--snr-stop", snr, "--quiet"]
         assert main(one) == 2
         assert "noise variance" in capsys.readouterr().err
+    for flag in ("--snr-start", "--snr-stop", "--snr-step"):
+        for value in ("nan", "inf"):
+            assert main(base + [flag, value]) == 2, (flag, value)
+            assert f"{flag} must be finite" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_is_refused(capsys):

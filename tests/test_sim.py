@@ -78,6 +78,19 @@ def test_sweep_is_deterministic(monkeypatch):
     assert format_csv(run_ber_sweep(cfg), cfg) == format_csv(run_ber_sweep(cfg), cfg)
 
 
+def test_shared_block_sweep_matches_one_detector_sweeps(monkeypatch):
+    # all five detectors on one prepared block per draw give the records of
+    # five separate sweeps, each of which prepares its block alone
+    monkeypatch.setattr(sim, "BLOCK_SIZE", 40)
+    kw = dict(layers=2, n_rx=3, snr_db=(-2.0, 3.0), trials=100, seed=19)
+    names = tuple(sim.DETECTORS)
+    shared = run_ber_sweep(SimConfig(detectors=names, **kw))
+    alone = [rec for name in names for rec in run_ber_sweep(SimConfig(detectors=(name,), **kw))]
+    key = lambda r: (r.detector, r.snr_db)
+    assert sorted(shared, key=key) == sorted(alone, key=key)
+    assert len(shared) == 10 and all(r.frames == 100 for r in shared)
+
+
 def test_seed_changes_output():
     base = SimConfig(layers=2, n_rx=2, snr_db=(4.0,), trials=500, seed=0)
     other = SimConfig(layers=2, n_rx=2, snr_db=(4.0,), trials=500, seed=1)
