@@ -16,9 +16,10 @@ without it builds its own, so both calls run the same code.
 each compressed entry is a (B,) array and a `flop_scope` around an
 unprepared call counts one instance; no equivalent channel is built for
 it.  The dense references are whole-array numpy: `linear_mmse` solves
-once, and the two symbol-wise SIC references share `_masked_sic`, which
-downdates a copy of the block's inverse by rank one after each detected
-symbol.
+once, and the two symbol-wise SIC references share `_masked_sic`, the
+batch twin of `detectors._dense_sic`, which downdates a copy of the
+block's inverse by rank one after each detected symbol.  Every engine
+slices to QPSK.
 """
 
 from __future__ import annotations
@@ -106,30 +107,30 @@ def _prepare(h, x, alpha, prepared) -> PreparedBlock:
     return prepared
 
 
-def _recursive_block(h, x, alpha, slicer, ordered, prepared):
+def _recursive_block(h, x, alpha, ordered, prepared):
     ws = _prepare(h, x, alpha, prepared).workspace
-    decisions, soft, _, _ = detectors._recurse(ws, slicer, ordered, record_trace=False)
+    decisions, soft, _, _ = detectors._recurse(ws, qpsk_slice_array, ordered, record_trace=False)
     return BatchDetection(decisions, soft)
 
 
-def detect_gstbc_batch(h, x, alpha, slicer=qpsk_slice_array, prepared=None) -> BatchDetection:
+def detect_gstbc_batch(h, x, alpha, prepared=None) -> BatchDetection:
     """`detectors.detect_gstbc` over a block."""
-    return _recursive_block(h, x, alpha, slicer, True, prepared)
+    return _recursive_block(h, x, alpha, True, prepared)
 
 
-def detect_fixed_order_batch(h, x, alpha, slicer=qpsk_slice_array, prepared=None) -> BatchDetection:
+def detect_fixed_order_batch(h, x, alpha, prepared=None) -> BatchDetection:
     """`detectors.detect_fixed_order` over a block."""
-    return _recursive_block(h, x, alpha, slicer, False, prepared)
+    return _recursive_block(h, x, alpha, False, prepared)
 
 
-def detect_linear_mmse_batch(h, x, alpha, slicer=qpsk_slice_array, prepared=None) -> BatchDetection:
+def detect_linear_mmse_batch(h, x, alpha, prepared=None) -> BatchDetection:
     """Batched mirror of `detectors.detect_linear_mmse`."""
     g, z = _prepare(h, x, alpha, prepared).dense
     soft = np.linalg.solve(g, z[:, :, None])[:, :, 0]
-    return BatchDetection(slicer(soft), soft)
+    return BatchDetection(qpsk_slice_array(soft), soft)
 
 
-def _masked_sic(block, slicer, groupwise):
+def _masked_sic(block, groupwise):
     """Dense MMSE-SIC over all 2M symbols with one inverse per block.
 
     The block's regularized Gram G is inverted once; its inverse and the
@@ -165,7 +166,7 @@ def _masked_sic(block, slicer, groupwise):
             near = diag.min(axis=1, keepdims=True) * (1.0 + TIE_REL_TOL)
             j = np.argmax(diag <= near, axis=1)
         y = np.einsum("bk,bk->b", q[rows, j, :], z)
-        d = slicer(y)
+        d = qpsk_slice_array(y)
         decisions[rows, j] = d
         soft[rows, j] = y
         z -= g[rows, :, j] * d[:, None]
@@ -180,11 +181,11 @@ def _masked_sic(block, slicer, groupwise):
     return BatchDetection(decisions, soft)
 
 
-def detect_osic_symbolwise_batch(h, x, alpha, slicer=qpsk_slice_array, prepared=None) -> BatchDetection:
+def detect_osic_symbolwise_batch(h, x, alpha, prepared=None) -> BatchDetection:
     """Batched mirror of `detectors.detect_osic_symbolwise`."""
-    return _masked_sic(_prepare(h, x, alpha, prepared), slicer, False)
+    return _masked_sic(_prepare(h, x, alpha, prepared), False)
 
 
-def detect_sic_groupwise_batch(h, x, alpha, slicer=qpsk_slice_array, prepared=None) -> BatchDetection:
+def detect_sic_groupwise_batch(h, x, alpha, prepared=None) -> BatchDetection:
     """Batched mirror of `detectors.detect_sic_groupwise_symbolwise`."""
-    return _masked_sic(_prepare(h, x, alpha, prepared), slicer, True)
+    return _masked_sic(_prepare(h, x, alpha, prepared), True)

@@ -13,8 +13,10 @@ Reference detectors are included for benchmarking: a one-shot linear MMSE
 equalizer, a brute-force symbol-wise MMSE-OSIC that re-inverts densely at
 every step, a symbol-wise SIC constrained to the group-wise detection
 order (equivalent, decision for decision, to `detect_gstbc`), and the
-recursion with ordering disabled.  The dense references use the counted
-helpers in `gstbc.dense`, so every detector reports its flop tally.
+recursion with ordering disabled.  The two symbol-wise SIC references are
+one kernel, `_dense_sic`, and differ only in which symbol goes next.  The
+dense references use the counted helpers in `gstbc.dense`, so every
+detector reports its flop tally.  Every detector slices to QPSK.
 
 The recursion is written once and reads only the physical gains, never a
 built equivalent channel.  Each compressed entry is a Python number for
@@ -30,7 +32,7 @@ detector on one block can start from the same state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -53,8 +55,6 @@ from .errors import InvalidDimensions, NonPositiveAlpha, SingularPivot, Structur
 from .flops import FlopCounter, cabs2, cadd, cmul, csub, flop_scope, radd, rcmul, rdiv, rmul, rsub
 from .modulation import qpsk_slice
 
-Slicer = Callable[[complex], complex]
-
 
 @dataclass(frozen=True)
 class DetectorWorkspace:
@@ -63,8 +63,8 @@ class DetectorWorkspace:
     `m` layers remain; `Rbar` and `Qbar` are the compressed regularized
     Gram matrix of the remaining columns and its inverse; `z` is the
     running matched-filter vector (length 2m); `p` maps the current block
-    position to the original layer index (full length, never truncated);
-    `alpha` is the MMSE regularizer.  Over a block every entry is a (B,) array.
+    position to the original layer index (full length, never truncated).
+    Over a block every entry is a (B,) array.
     """
 
     m: int
@@ -72,7 +72,6 @@ class DetectorWorkspace:
     Qbar: StructuredHermitianBlockMatrix
     z: tuple
     p: tuple
-    alpha: float
 
 
 @dataclass(frozen=True)
@@ -318,7 +317,6 @@ def permute_workspace(ws: DetectorWorkspace, l: int) -> DetectorWorkspace:
         sbm_swap_blocks(ws.Qbar, k, last),
         tuple(z),
         tuple(p),
-        ws.alpha,
     )
 
 
@@ -363,7 +361,7 @@ def _swap_merged(ws: DetectorWorkspace, k) -> DetectorWorkspace:
     # positions start as Python ints; broadcasting makes each an array
     pos = [np.broadcast_to(q, k.shape) for q in ws.p[:m]]
     p = tuple(merged(lambda i, idx: pos[i][idx], i) for i in range(m)) + ws.p[m:]
-    return DetectorWorkspace(m, matrix(ws.Rbar), matrix(ws.Qbar), z, p, ws.alpha)
+    return DetectorWorkspace(m, matrix(ws.Rbar), matrix(ws.Qbar), z, p)
 
 
 def estimate_layer(ws: DetectorWorkspace):
@@ -424,14 +422,7 @@ def cancel_layer(ws: DetectorWorkspace, s1: complex, s2: complex) -> DetectorWor
         t1, t2 = ab_apply(ws.Rbar.block(j, m - 1), s1, s2)
         z.append(csub(ws.z[2 * j], t1))
         z.append(csub(ws.z[2 * j + 1], t2))
-    return DetectorWorkspace(
-        m - 1,
-        sbm_leading(ws.Rbar, m - 1),
-        q_next,
-        tuple(z),
-        ws.p,
-        ws.alpha,
-    )
+    return DetectorWorkspace(m - 1, sbm_leading(ws.Rbar, m - 1), q_next, tuple(z), ws.p)
 
 
 def _scatter(steps, n_sym):
@@ -460,13 +451,15 @@ def _start_workspace(hp, x, alpha) -> DetectorWorkspace:
     # over a block the gains are the largest array held;
     # nothing below reads it
     del hp, x
-    return DetectorWorkspace(m, rbar, init_covariance(rbar), z, tuple(range(m)), alpha)
+    return DetectorWorkspace(m, rbar, init_covariance(rbar), z, tuple(range(m)))
 
 
 def _recurse(ws: DetectorWorkspace, slicer, ordered, record_trace):
     """Detect every layer from a starting workspace, counting into the
     current `flop_scope`; returns (decisions, soft, order, trace).  The
-    workspace is only read, so one start may serve several calls."""
+    workspace is only read, so one start may serve several calls.
+    `slicer` is the route's QPSK slicer: `qpsk_slice` on one instance,
+    `qpsk_slice_array` over a block."""
     m = ws.m
     trace = [] if record_trace else None
     steps = []
@@ -487,22 +480,16 @@ def _recurse(ws: DetectorWorkspace, slicer, ordered, record_trace):
     return decisions, soft, tuple(ws.p[::-1]), tuple(trace) if record_trace else None
 
 
-def _detect_recursive(hp, x, alpha, slicer, ordered, record_trace):
+def _detect_recursive(hp, x, alpha, ordered, record_trace):
     """The group-wise recursion on one checked instance, both halves
     counted in one scope."""
     local = FlopCounter()
     with flop_scope(local):
-        decisions, soft, order, trace = _recurse(_start_workspace(hp, x, alpha), slicer, ordered, record_trace)
+        decisions, soft, order, trace = _recurse(_start_workspace(hp, x, alpha), qpsk_slice, ordered, record_trace)
     return DetectionResult(decisions, soft, order, local, trace)
 
 
-def detect_gstbc(
-    hp,
-    x,
-    alpha: float,
-    slicer: Slicer = qpsk_slice,
-    record_trace: bool = False,
-) -> DetectionResult:
+def detect_gstbc(hp, x, alpha: float, record_trace: bool = False) -> DetectionResult:
     """Group-wise MMSE-OSIC detection with optimal layer ordering.
 
     Layers are detected best-first (smallest inverse diagonal), each
@@ -512,28 +499,17 @@ def detect_gstbc(
     verification.
     """
     _check_instance(hp, x, alpha)
-    return _detect_recursive(hp, x, alpha, slicer, True, record_trace)
+    return _detect_recursive(hp, x, alpha, True, record_trace)
 
 
-def detect_fixed_order(
-    hp,
-    x,
-    alpha: float,
-    slicer: Slicer = qpsk_slice,
-    record_trace: bool = False,
-) -> DetectionResult:
+def detect_fixed_order(hp, x, alpha: float, record_trace: bool = False) -> DetectionResult:
     """Same recursion as `detect_gstbc` with ordering disabled (last block
     first, every step).  Isolates the gain of the ordering rule."""
     _check_instance(hp, x, alpha)
-    return _detect_recursive(hp, x, alpha, slicer, False, record_trace)
+    return _detect_recursive(hp, x, alpha, False, record_trace)
 
 
-def detect_linear_mmse(
-    hp,
-    x,
-    alpha: float,
-    slicer: Slicer = qpsk_slice,
-) -> DetectionResult:
+def detect_linear_mmse(hp, x, alpha: float) -> DetectionResult:
     """One-shot linear MMSE: y = (H'^H H' + alpha I)^{-1} H'^H x'."""
     a, xv = _check_instance(hp, x, alpha)
     n_sym = a.shape[1]
@@ -549,7 +525,7 @@ def detect_linear_mmse(
             for j in range(1, n_sym):
                 acc = cadd(acc, cmul(q[k][j], z[j]))
             soft.append(acc)
-        decisions = [slicer(y) for y in soft]
+        decisions = [qpsk_slice(y) for y in soft]
     return DetectionResult(
         np.array(decisions, dtype=np.complex128),
         np.array(soft, dtype=np.complex128),
@@ -558,134 +534,80 @@ def detect_linear_mmse(
     )
 
 
-def detect_osic_symbolwise(
-    hp,
-    x,
-    alpha: float,
-    slicer: Slicer = qpsk_slice,
-) -> DetectionResult:
-    """Symbol-wise MMSE-OSIC, brute force; the ordering oracle.
+def _dense_sic(hp, x, alpha: float, groupwise: bool) -> DetectionResult:
+    """Dense MMSE-SIC, one symbol per step; the counted twin of
+    `batch._masked_sic`.
 
-    At each of the 2M steps the regularized inverse of the remaining
-    columns is recomputed densely, the symbol with the smallest inverse
-    diagonal is estimated, sliced, cancelled from the residual, and its
-    column dropped.  O(M^4) on purpose; no block structure is used.
-    Diagonals within TIE_REL_TOL of the minimum tie, and ties go to the
-    lowest symbol index: the two symbols of a layer have equal diagonals
-    whenever only whole layers have been removed, so without a rule the
-    choice would fall to rounding.
+    `active` lists the undetected symbols.  Each step inverts the
+    regularized Gram of their columns afresh, estimates one symbol from
+    its row of the inverse and the matched filter of the residual, slices
+    it, cancels it from the residual and drops it from `active`.
+    Symbol-wise, the smallest inverse diagonal goes next, diagonals within
+    TIE_REL_TOL of the minimum tying to the lowest position.  Group-wise,
+    on whole pairs the first smallest second-symbol diagonal picks the
+    layer and its second symbol goes next; that pair then trades places
+    with the last pair (the interchange `permute_workspace` makes), so
+    the first symbol, left alone at the end, goes after it.
     """
     a, xv = _check_instance(hp, x, alpha)
     n_sym = a.shape[1]
     local = FlopCounter()
     with flop_scope(local):
-        cols = {k: a[:, k].tolist() for k in range(n_sym)}
+        cols = [a[:, k].tolist() for k in range(n_sym)]
         active = list(range(n_sym))
         residual = xv.tolist()
-        decisions = [0j] * n_sym
-        soft = [0j] * n_sym
+        decisions = np.empty(n_sym, dtype=np.complex128)
+        soft = np.empty(n_sym, dtype=np.complex128)
         order = []
         while active:
             col_list = [cols[k] for k in active]
             q = gj_inverse_hpd(gram_plus_alpha(col_list, alpha))
-            diag = [q[i][i].real for i in range(len(active))]
-            near = min(diag) * (1.0 + TIE_REL_TOL)
-            pos = next(i for i, d in enumerate(diag) if d <= near)
+            if not groupwise:
+                diag = [q[i][i].real for i in range(len(active))]
+                near = min(diag) * (1.0 + TIE_REL_TOL)
+                pos = next(i for i, d in enumerate(diag) if d <= near)
+            elif len(active) % 2:
+                pos = len(active) - 1
+            else:
+                pos = min(range(1, len(active), 2), key=lambda i: q[i][i].real)
             z = adjoint_apply(col_list, residual)
             y = cmul(q[pos][0], z[0])
             for j in range(1, len(active)):
                 y = cadd(y, cmul(q[pos][j], z[j]))
             sym = active[pos]
-            s_hat = slicer(y)
+            s_hat = qpsk_slice(y)
             decisions[sym] = s_hat
             soft[sym] = y
-            order.append(sym)
             col = cols[sym]
             for r in range(len(residual)):
                 residual[r] = csub(residual[r], cmul(col[r], s_hat))
+            if not groupwise:
+                order.append(sym)
+            elif pos % 2:
+                order.append(sym // 2)
+                active[pos - 1 : pos + 1], active[-2:] = active[-2:], active[pos - 1 : pos + 1]
+                pos = -1
             active.pop(pos)
-    return DetectionResult(
-        np.array(decisions, dtype=np.complex128),
-        np.array(soft, dtype=np.complex128),
-        tuple(order),
-        local,
-    )
+    return DetectionResult(decisions, soft, tuple(order), local)
 
 
-def detect_sic_groupwise_symbolwise(
-    hp,
-    x,
-    alpha: float,
-    slicer: Slicer = qpsk_slice,
-) -> DetectionResult:
-    """Symbol-wise SIC restricted to the group-wise detection order.
+def detect_osic_symbolwise(hp, x, alpha: float) -> DetectionResult:
+    """Symbol-wise MMSE-OSIC, brute force; the ordering oracle.  O(M^4) on
+    purpose; no block structure is used.  Ties go to the lowest symbol
+    index: the two symbols of a layer have equal diagonals whenever only
+    whole layers have been removed, so without a rule the choice would
+    fall to rounding."""
+    return _dense_sic(hp, x, alpha, groupwise=False)
 
-    Layers are chosen exactly as in `detect_gstbc` (smallest inverse
-    diagonal over layer blocks, same interchange bookkeeping, so ties
-    resolve identically), but the two symbols of the chosen layer are
-    detected sequentially: second symbol first, cancelled, then the first
-    symbol from a freshly inverted reduced system.  Everything is dense
-    recomputation; the column-pair orthogonality of the equivalent channel
-    makes the decisions match `detect_gstbc` decision for decision.
-    """
-    a, xv = _check_instance(hp, x, alpha)
-    m = a.shape[1] // 2
-    local = FlopCounter()
-    with flop_scope(local):
-        cols = {k: a[:, k].tolist() for k in range(2 * m)}
-        arrange = list(range(m))
-        residual = xv.tolist()
-        decisions = [0j] * (2 * m)
-        soft = [0j] * (2 * m)
-        order = []
 
-        def row_estimate(col_list, q, row):
-            z = adjoint_apply(col_list, residual)
-            y = cmul(q[row][0], z[0])
-            for j in range(1, len(col_list)):
-                y = cadd(y, cmul(q[row][j], z[j]))
-            return y
+def detect_sic_groupwise_symbolwise(hp, x, alpha: float) -> DetectionResult:
+    """Symbol-wise SIC in the group-wise detection order: layers are
+    chosen as in `detect_gstbc`, ties included, and the second symbol of
+    each is detected first, then the first from a freshly inverted reduced
+    system.  The column-pair orthogonality of the equivalent channel makes
+    the decisions match `detect_gstbc` decision for decision."""
+    return _dense_sic(hp, x, alpha, groupwise=True)
 
-        def cancel(sym, s_hat):
-            col = cols[sym]
-            for r in range(len(residual)):
-                residual[r] = csub(residual[r], cmul(col[r], s_hat))
-
-        for mm in range(m, 0, -1):
-            syms = [s for lay in arrange[:mm] for s in (2 * lay, 2 * lay + 1)]
-            col_list = [cols[k] for k in syms]
-            q = gj_inverse_hpd(gram_plus_alpha(col_list, alpha))
-            pos = 0
-            for i in range(1, mm):
-                if q[2 * i + 1][2 * i + 1].real < q[2 * pos + 1][2 * pos + 1].real:
-                    pos = i
-            layer = arrange[pos]
-            order.append(layer)
-            # second symbol of the chosen pair first, from the full inverse
-            y2 = row_estimate(col_list, q, 2 * pos + 1)
-            s2 = slicer(y2)
-            decisions[2 * layer + 1] = s2
-            soft[2 * layer + 1] = y2
-            cancel(2 * layer + 1, s2)
-            # mirror the interchange bookkeeping of the compressed recursion
-            # so tie resolution matches it exactly
-            arrange[pos], arrange[mm - 1] = arrange[mm - 1], arrange[pos]
-            # then the first symbol, from a freshly inverted reduced system
-            syms = [s for lay in arrange[: mm - 1] for s in (2 * lay, 2 * lay + 1)]
-            syms.append(2 * layer)
-            col_list = [cols[k] for k in syms]
-            q = gj_inverse_hpd(gram_plus_alpha(col_list, alpha))
-            y1 = row_estimate(col_list, q, 2 * mm - 2)
-            s1 = slicer(y1)
-            decisions[2 * layer] = s1
-            soft[2 * layer] = y1
-            cancel(2 * layer, s1)
-    return DetectionResult(
-        np.array(decisions, dtype=np.complex128),
-        np.array(soft, dtype=np.complex128),
-        tuple(order),
-        local,
-    )
 
 SCALAR_DETECTORS = {
     "proposed": detect_gstbc,

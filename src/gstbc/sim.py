@@ -2,7 +2,7 @@
 
 Channel model: independent Rayleigh fading, flat over the two slots of
 each space-time block, redrawn per block.  SNR is Eb/N0 in dB with unit
-symbol energy and two bits per symbol, so
+symbol energy (sigma_s2 = 1) and two bits per symbol, so
 
     sigma_n2 = sigma_s2 / (2 * 10**(snr_db / 10))
 
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -50,7 +51,11 @@ _SCALE = 1.0 / math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One sweep: trials are two-slot channel uses per SNR point."""
+    """One sweep: trials are two-slot channel uses per SNR point.
+
+    Symbols are unit-energy QPSK; `sigma_s2` names that energy and is not
+    a setting, since the draw sends unit energy whatever it says.
+    """
 
     layers: int
     n_rx: int
@@ -58,8 +63,7 @@ class SimConfig:
     detectors: tuple = ("proposed",)
     trials: int = 100_000
     seed: int = 0
-    sigma_s2: float = 1.0
-    modulation: str = "qpsk"
+    sigma_s2: ClassVar[float] = 1.0
 
     def __post_init__(self):
         if self.layers < 1 or self.n_rx < self.layers:
@@ -68,21 +72,21 @@ class SimConfig:
             )
         if not self.snr_db:
             raise ConfigInvalid("snr_db grid must be nonempty")
-        if not 0 < self.sigma_s2 < math.inf:
-            raise ConfigInvalid(f"sigma_s2 must be finite and > 0, got {self.sigma_s2}")
         try:
             noise = [sigma_n2_for_snr(v, self.sigma_s2) for v in self.snr_db]
         except (OverflowError, ZeroDivisionError):
             noise = [math.nan]
-        if not all(0 < v < math.inf and 0 < v / self.sigma_s2 < math.inf for v in noise):
+        if not all(0 < v < math.inf for v in noise):
             raise ConfigInvalid(f"snr_db values must give a noise variance and alpha finite and > 0, got {self.snr_db}")
         unknown = [d for d in self.detectors if d not in DETECTORS]
         if unknown:
             raise ConfigInvalid(f"unknown detectors: {unknown}; known: {sorted(DETECTORS)}")
+        if len(set(self.detectors)) != len(self.detectors):
+            raise ConfigInvalid(f"detectors must not repeat, got {list(self.detectors)}")
         if self.trials < 1:
             raise ConfigInvalid("trials must be positive")
-        if self.modulation != "qpsk":
-            raise ConfigInvalid(f"only qpsk modulation is supported, got {self.modulation!r}")
+        if self.seed < 0:
+            raise ConfigInvalid(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -176,7 +176,7 @@ def test_permute_workspace_rejects_bad_block_indices():
     h, _, x = random_batch(rng, 4, 3, 3, 0.1)
     hp = ChannelMatrix(np.ascontiguousarray(h.transpose(1, 2, 0)))
     rbar = init_gram(hp, 0.1)
-    ws = DetectorWorkspace(3, rbar, init_covariance(rbar), matched_filter(hp, x.T), (0, 1, 2), 0.1)
+    ws = DetectorWorkspace(3, rbar, init_covariance(rbar), matched_filter(hp, x.T), (0, 1, 2))
     for bad in (0, 1, 3, 8):
         index = np.full(4, 2)
         index[2] = bad
@@ -234,7 +234,7 @@ def test_block_swap_matches_scalar_swap():
     h, _, x = random_batch(rng, count, m, 4, 0.1)
     rbar = init_gram(_batch_last(h), 0.1)
     z = matched_filter(_batch_last(h), x.T)
-    ws = DetectorWorkspace(m, rbar, init_covariance(rbar), z, tuple(range(m)), 0.1)
+    ws = DetectorWorkspace(m, rbar, init_covariance(rbar), z, tuple(range(m)))
     k = rng.integers(0, m, size=count)
     k[:m] = np.arange(m)
     swapped = permute_workspace(ws, 2 * (k + 1))

@@ -221,6 +221,10 @@ def test_ber_command_rejects_bad_config(capsys):
         for value in ("nan", "inf"):
             assert main(base + [flag, value]) == 2, (flag, value)
             assert f"{flag} must be finite" in capsys.readouterr().err
+    assert main(base + ["--detectors", "proposed,proposed"]) == 2
+    assert "must not repeat" in capsys.readouterr().err
+    assert main(base + ["--seed", "-1"]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_is_refused(capsys):

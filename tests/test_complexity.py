@@ -24,6 +24,14 @@ FROZEN_RECURSIVE = {
     (3, 3): (591, 506),
 }
 
+# measured counts of the dense references; the two symbol-wise SIC
+# detectors invert systems of the same sizes, so their counts agree
+FROZEN_DENSE = {
+    "linear_mmse": {(1, 1): (106, 78), (2, 2): (740, 644), (4, 4): (5512, 5160)},
+    "osic_symbolwise": {(1, 1): (139, 104), (2, 2): (1274, 1096), (3, 3): (5261, 4752), (4, 4): (14980, 13872)},
+    "sic_groupwise": {(1, 1): (139, 104), (2, 2): (1274, 1096), (3, 3): (5261, 4752), (4, 4): (14980, 13872)},
+}
+
 
 def test_cost_recursive_frozen_values():
     for (m, n), (mults, adds) in FROZEN_RECURSIVE.items():
@@ -39,6 +47,13 @@ def test_cost_recursive_matches_measurement():
             measured.real_mults,
             measured.real_adds,
         ), (m, n)
+
+
+def test_dense_reference_frozen_flops():
+    for det, table in FROZEN_DENSE.items():
+        for (m, n), (mults, adds) in table.items():
+            fc = measure_flops(m, n, detector=det)
+            assert (fc.real_mults, fc.real_adds) == (mults, adds), (det, m, n)
 
 
 def test_measure_flops_seed_independent():

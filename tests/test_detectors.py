@@ -71,7 +71,7 @@ def test_deflate_inverts_leading_gram():
         h, _, _ = random_instance(rng, layers, layers + 1)
         rbar = init_gram(h, 0.05)
         qbar = init_covariance(rbar)
-        ws = DetectorWorkspace(layers, rbar, qbar, (0j,) * (2 * layers), tuple(range(layers)), 0.05)
+        ws = DetectorWorkspace(layers, rbar, qbar, (0j,) * (2 * layers), tuple(range(layers)))
         got = sbm_to_dense(deflate_covariance(ws))
         want = np.linalg.inv(sbm_to_dense(rbar)[: 2 * layers - 2, : 2 * layers - 2])
         assert np.allclose(got, want, atol=1e-9)
@@ -83,7 +83,7 @@ def test_cancel_layer_preserves_inverse_identity():
     rbar = init_gram(h, 0.1)
     qbar = init_covariance(rbar)
     z = matched_filter(h, x)
-    ws = DetectorWorkspace(4, rbar, qbar, z, (0, 1, 2, 3), 0.1)
+    ws = DetectorWorkspace(4, rbar, qbar, z, (0, 1, 2, 3))
     for _ in range(3):
         ws = cancel_layer(ws, 0.5 + 0.5j, -0.5 + 0.5j)
         prod = sbm_to_dense(ws.Rbar) @ sbm_to_dense(ws.Qbar)
@@ -94,7 +94,7 @@ def test_permute_workspace_rejects_bad_index():
     rng = np.random.default_rng(26)
     h, _, x = random_instance(rng, 3, 3)
     rbar = init_gram(h, 0.1)
-    ws = DetectorWorkspace(3, rbar, init_covariance(rbar), matched_filter(h, x), (0, 1, 2), 0.1)
+    ws = DetectorWorkspace(3, rbar, init_covariance(rbar), matched_filter(h, x), (0, 1, 2))
     for bad in (0, 1, 3, 8):
         with pytest.raises(InvalidDimensions):
             permute_workspace(ws, bad)
