@@ -37,9 +37,10 @@ def qpsk_slice(y: complex) -> complex:
 def qpsk_slice_array(y) -> np.ndarray:
     """Vectorized `qpsk_slice`."""
     y = np.asarray(y)
-    re = np.where(y.real >= 0, _SCALE, -_SCALE)
-    im = np.where(y.imag >= 0, _SCALE, -_SCALE)
-    return re + 1j * im
+    out = np.empty(y.shape, dtype=np.complex128)
+    out.real = np.where(y.real >= 0, _SCALE, -_SCALE)
+    out.imag = np.where(y.imag >= 0, _SCALE, -_SCALE)
+    return out
 
 
 def qpsk_demap(symbols) -> np.ndarray:

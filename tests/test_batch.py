@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gstbc import batch
 from gstbc.batch import PreparedBlock, detect_fixed_order_batch, detect_gstbc_batch, equivalent_channel_batch
 from gstbc.alamouti import AlamoutiBlock, StructuredHermitianBlockMatrix, sbm_swap_blocks, sbm_to_dense
 from gstbc.channel import ChannelMatrix, EquivalentChannel, build_equivalent
@@ -8,14 +9,16 @@ from gstbc.complexity import cost_recursive
 from gstbc.detectors import (
     SCALAR_DETECTORS,
     DetectorWorkspace,
+    _start_workspace,
     init_covariance,
     init_gram,
     matched_filter,
     permute_workspace,
 )
-from gstbc.errors import InvalidDimensions, NonPositiveAlpha, SingularPivot
+from gstbc.errors import TIE_REL_TOL, InvalidDimensions, NonPositiveAlpha, SingularPivot
 from gstbc.flops import FlopCounter, flop_scope
 from gstbc.sim import DETECTORS as BATCH_PAIRS
+from gstbc.modulation import qpsk_slice_array
 from gstbc.sim import sigma_n2_for_snr
 
 
@@ -251,3 +254,122 @@ def test_block_swap_matches_scalar_swap():
                        for u, v in zip(got.upper, want.upper)), b
         assert all(_same_bits(v[b], w) for v, w in zip(swapped.z, zb)), b
         assert [int(np.broadcast_to(q, k.shape)[b]) for q in swapped.p] == pb, b
+
+
+def _explicit_downdate_sic(block, groupwise):
+    """The SIC kernel with the inverse downdated in full at every step:
+    the oracle `batch._masked_sic` must match bit for bit."""
+    g, z = block.dense
+    z = z.copy()
+    q = block.dense_inverse.copy()
+    b, two_m = z.shape
+    rows = np.arange(b)
+    idx = np.arange(two_m)
+    live = np.ones((b, two_m), dtype=bool)
+    decisions = np.empty((b, two_m), dtype=np.complex128)
+    soft = np.empty((b, two_m), dtype=np.complex128)
+    for step in range(two_m):
+        diag = np.where(live, np.real(q[:, idx, idx]), np.inf)
+        if groupwise and step % 2:
+            j = j - 1
+        elif groupwise:
+            j = 2 * np.argmin(diag[:, 1::2], axis=1) + 1
+        else:
+            near = diag.min(axis=1, keepdims=True) * (1.0 + TIE_REL_TOL)
+            j = np.argmax(diag <= near, axis=1)
+        y = np.einsum("bk,bk->b", q[rows, j, :], z)
+        d = qpsk_slice_array(y)
+        decisions[rows, j] = d
+        soft[rows, j] = y
+        z -= g[rows, :, j] * d[:, None]
+        qj = q[rows, :, j]
+        qjj = np.real(qj[rows, j])
+        assert np.all(qjj > 0)
+        q -= qj[:, :, None] * (np.conj(qj) / qjj[:, None])[:, None, :]
+        q[rows, j, :] = 0
+        q[rows, :, j] = 0
+        live[rows, j] = False
+    return decisions, soft
+
+
+@pytest.mark.parametrize("layers, n_rx", [(1, 1), (2, 2), (2, 8), (4, 4)])
+@pytest.mark.parametrize("snr_db", [-6.0, 0.0])
+def test_masked_sic_equals_explicit_downdate(layers, n_rx, snr_db):
+    # the kernel keeps each downdate as a rank-one term and rebuilds only
+    # the row, column and diagonal it reads; the result is bitwise that of
+    # the full downdate, ties at -6 dB included, on a block that is not a
+    # whole number of front-end chunks
+    rng = np.random.default_rng(57)
+    sigma_n2 = sigma_n2_for_snr(snr_db)
+    h, _, _ = random_batch(rng, 1, layers, n_rx, sigma_n2)
+    h, _, x = random_batch(rng, 2 * batch._chunk_len(h) + 7, layers, n_rx, sigma_n2)
+    block = PreparedBlock(h, x, sigma_n2)
+    for groupwise in (False, True):
+        out = batch._masked_sic(block, groupwise)
+        decisions, soft = _explicit_downdate_sic(block, groupwise)
+        assert out.decisions.tobytes() == decisions.tobytes(), groupwise
+        assert out.soft.tobytes() == soft.tobytes(), groupwise
+
+
+def _workspace_bytes(ws):
+    arrays = [*ws.z, *ws.Rbar.diag, *ws.Qbar.diag]
+    arrays += [a for m in (ws.Rbar, ws.Qbar) for u in m.upper for a in u]
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("layers, n_rx", [(2, 8), (8, 8)])
+def test_chunked_front_ends_equal_whole_block(layers, n_rx):
+    # the front ends are built chunk by chunk into the final arrays; each
+    # entry is bitwise what one whole-block computation gives
+    rng = np.random.default_rng(58)
+    h, _, _ = random_batch(rng, 1, layers, n_rx, 0.1)
+    k = batch._chunk_len(h)
+    idx = np.arange(2 * layers)
+    for count in (1, k - 1, k, 2 * k + 7):
+        h, _, x = random_batch(rng, count, layers, n_rx, 0.1)
+        block = PreparedBlock(h, x, 0.1)
+        g, z = block.dense
+        hp = equivalent_channel_batch(h)
+        hh = np.conj(hp).swapaxes(1, 2)
+        want_g = hh @ hp
+        want_g[:, idx, idx] += 0.1
+        assert g.tobytes() == want_g.tobytes(), count
+        assert z.tobytes() == (hh @ x[:, :, None])[:, :, 0].tobytes(), count
+        assert not g.flags.writeable and not z.flags.writeable
+        with pytest.raises(ValueError):
+            g[0, 0, 0] = 0
+        want = _start_workspace(_batch_last(h), np.ascontiguousarray(x.T), 0.1)
+        assert _workspace_bytes(block.workspace) == _workspace_bytes(want), count
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_PAIRS))
+def test_batch_overflowing_instance_raises(name):
+    # gains of 1e160 overflow the Gram to inf; with warnings silenced, as
+    # a library caller leaves them, every engine still fails loudly and
+    # names the one failing instance
+    rng = np.random.default_rng(59)
+    h, _, x = random_batch(rng, 3, 2, 2, 0.1)
+    h[1] *= 1e160
+    x[1] *= 1e160
+    messages = {
+        "linear_mmse": "linear MMSE estimate is not finite in 1 of 3 instances, worst nan",
+        "osic_symbolwise": "downdate pivot is not positive in 1 of 3 instances, worst nan",
+        "sic_groupwise": "downdate pivot is not positive in 1 of 3 instances, worst nan",
+    }
+    with np.errstate(all="ignore"), pytest.raises(SingularPivot, match=messages.get(name, "in 1 of 3 instances")):
+        BATCH_PAIRS[name](h, x, alpha=1e-3)
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_PAIRS))
+def test_batch_singular_gram_raises_singular_pivot(name):
+    # one instance whose layer 0 repeats layer 1: at alpha 1e-30 its
+    # regularized Gram is singular to working precision, and LAPACK's
+    # error comes out as the library's own
+    rng = np.random.default_rng(60)
+    h, _, x = random_batch(rng, 3, 2, 2, 0.1)
+    h[1, :, 0:2] = h[1, :, 2:4]
+    match = "in 1 of 3 instances"
+    if name in ("linear_mmse", "osic_symbolwise", "sic_groupwise"):
+        match = "regularized Gram is singular in 1 of 3 instances"
+    with pytest.raises(SingularPivot, match=match):
+        BATCH_PAIRS[name](h, x, alpha=1e-30)

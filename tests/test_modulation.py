@@ -60,6 +60,9 @@ def test_slice_boundary_goes_positive():
 def test_slice_array_matches_scalar():
     rng = np.random.default_rng(5)
     y = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    # signed zeros slice to the + side on either axis
+    y[:4] = [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
     arr = qpsk_slice_array(y)
+    assert arr.dtype == np.complex128
     for k in range(64):
-        assert arr[k] == qpsk_slice(complex(y[k]))
+        assert arr[k:k + 1].tobytes() == np.complex128(qpsk_slice(complex(y[k]))).tobytes()
