@@ -19,10 +19,12 @@ All arithmetic helpers route through the counted primitives in
 `gstbc.flops`, charging compressed cost: a block-times-block product is 4
 complex mults + 2 complex adds, and a real-scalar-times-block is 4 real
 mults.  Pure data movement (conversion, permutation, slicing) is free.
-The helpers need only `*`, `+`, `-` and `.conjugate()` of their entries,
-so a block whose entries are (B,) arrays holds B instances at once.  No
-helper negates a product or forms an adjoint to multiply by it, so over a
-block no negated copy is made.
+A symbol pair (c1, c2) is the first column of `AlamoutiBlock(c1, c2)`,
+so `ab_mul` and `ab_adjoint_mul` with that block give a block, or its
+adjoint, times the pair.  The helpers need only `*`, `+`, `-` and
+`.conjugate()` of their entries, so a block whose entries are (B,) arrays
+holds B instances at once.  No helper negates a product or forms an
+adjoint to multiply by it, so over a block no negated copy is made.
 """
 
 from __future__ import annotations
@@ -41,10 +43,6 @@ class AlamoutiBlock(NamedTuple):
 
     a1: complex
     a2: complex
-
-
-AB_ZERO = AlamoutiBlock(0j, 0j)
-AB_IDENTITY = AlamoutiBlock(1 + 0j, 0j)
 
 
 def ab_dense(x: AlamoutiBlock) -> np.ndarray:
@@ -113,20 +111,6 @@ def ab_scale_real(r: float, x: AlamoutiBlock) -> AlamoutiBlock:
     return AlamoutiBlock(rcmul(r, x.a1), rcmul(r, x.a2))
 
 
-def ab_apply(x: AlamoutiBlock, c1: complex, c2: complex):
-    """Block times a length-2 column: 4 complex mults + 2 complex adds."""
-    out1 = csub(cmul(x.a1, c1), cmul(x.a2.conjugate(), c2))
-    out2 = cadd(cmul(x.a2, c1), cmul(x.a1.conjugate(), c2))
-    return out1, out2
-
-
-def ab_adjoint_apply(x: AlamoutiBlock, c1: complex, c2: complex):
-    """Adjoint of block times a length-2 column: 4 complex mults + 2 adds."""
-    out1 = cadd(cmul(x.a1.conjugate(), c1), cmul(x.a2.conjugate(), c2))
-    out2 = csub(cmul(x.a1, c2), cmul(x.a2, c1))
-    return out1, out2
-
-
 @dataclass(frozen=True)
 class StructuredHermitianBlockMatrix:
     """Hermitian 2m x 2m matrix in Alamouti-compressed storage.
@@ -158,16 +142,6 @@ class StructuredHermitianBlockMatrix:
         if i < j:
             return self.upper[self._uidx(i, j)]
         return ab_adjoint(self.upper[self._uidx(j, i)])
-
-
-def sbm_build(m, diag, upper_fn) -> StructuredHermitianBlockMatrix:
-    """Assemble compressed storage; `upper_fn(i, j)` supplies block (i, j)."""
-    upper = tuple(upper_fn(i, j) for i in range(m) for j in range(i + 1, m))
-    return StructuredHermitianBlockMatrix(m, tuple(diag), upper)
-
-
-def sbm_identity(m: int, scale: float = 1.0) -> StructuredHermitianBlockMatrix:
-    return StructuredHermitianBlockMatrix(m, (scale,) * m, (AB_ZERO,) * (m * (m - 1) // 2))
 
 
 def sbm_to_dense(a: StructuredHermitianBlockMatrix) -> np.ndarray:

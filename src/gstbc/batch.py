@@ -36,7 +36,7 @@ import numpy as np
 
 from . import detectors
 from .channel import ChannelMatrix, equivalent_channel_batch
-from .errors import TIE_REL_TOL, InvalidDimensions, NonPositiveAlpha, SingularPivot
+from .errors import TIE_REL_TOL, InvalidDimensions, SingularPivot
 from .modulation import qpsk_slice_array
 
 # bytes of gains per chunk of instances when a block's front ends are
@@ -59,8 +59,7 @@ def _check_block(h, x, alpha):
         raise InvalidDimensions(f"channel block must be B x N x 2M, got {h.shape}")
     if x.shape != (h.shape[0], 2 * h.shape[1]):
         raise InvalidDimensions(f"received block must be B x 2N, got {x.shape} for channels {h.shape}")
-    if not alpha > 0:
-        raise NonPositiveAlpha(f"alpha must be > 0, got {alpha}")
+    detectors._check_alpha(alpha)
     if not (np.isfinite(h).all() and np.isfinite(x).all()):
         raise InvalidDimensions("channel gains and received samples must be finite")
 

@@ -14,6 +14,9 @@ a row pair (h_1, ..., h_2M) and (conj(h_2), -conj(h_1), ..., conj(h_2M),
 -conj(h_2M-1)), which makes every column pair of H' orthogonal with equal
 norms.  That orthogonality is what the block-compressed detectors exploit.
 
+The channel use is written once, in `receive`, over any leading axes:
+`transmit` runs it on one instance and the sweep's draw on a block.
+
 Randomness is counter-based: every draw derives from a fresh Philox
 generator keyed by the caller's seed (optionally a spawn-key tuple), so
 identical keys reproduce identical draws regardless of call order.
@@ -37,6 +40,7 @@ __all__ = [
     "build_equivalent",
     "equivalent_channel_batch",
     "second_slot",
+    "receive",
     "transmit",
 ]
 
@@ -137,15 +141,25 @@ def second_slot(s: np.ndarray) -> np.ndarray:
     return t2
 
 
+def receive(h: np.ndarray, s: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """One two-slot channel use over any leading axes: gains (..., N, 2M),
+    symbols (..., 2M) and slot noise (..., N, 2) give the stacked samples
+    (..., 2N).  Slot one sends `s`, slot two its `second_slot`, and each
+    slot-two sample is conjugated as it is stacked; conjugated CN noise
+    is CN with the same variance, so the stacked model sees i.i.d. noise.
+    """
+    x = np.empty(h.shape[:-2] + (2 * h.shape[-2],), dtype=np.complex128)
+    x[..., 0::2] = np.einsum("...nj,...j->...n", h, s) + noise[..., 0]
+    x[..., 1::2] = np.conj(np.einsum("...nj,...j->...n", h, second_slot(s)) + noise[..., 1])
+    return x
+
+
 def transmit(h: ChannelMatrix, s, noise: NoiseSpec) -> ReceivedVector:
     """Run one two-slot channel use and return the stacked received vector.
 
-    `s` is any length-2M sequence of symbols.
-
-    The per-slot transmit matrix is built explicitly from the Alamouti
-    pattern, noise is added per receive antenna and slot, and the slot-two
-    samples are conjugated during stacking; conjugated CN noise is CN with
-    the same variance, so the stacked model sees i.i.d. noise.
+    `s` is any length-2M sequence of symbols.  The noise of each receive
+    antenna and slot is drawn from `noise.seed` (none at zero variance)
+    and the use itself is `receive` on one instance.
     """
     g = np.asarray(h.gains)
     sv = np.asarray(s, dtype=np.complex128)
@@ -153,12 +167,8 @@ def transmit(h: ChannelMatrix, s, noise: NoiseSpec) -> ReceivedVector:
         raise InvalidDimensions(f"symbol vector length {sv.size} does not match 2M={g.shape[1]}")
     if noise.sigma_n2 < 0:
         raise InvalidDimensions(f"noise variance must be >= 0, got {noise.sigma_n2}")
-    received = g @ np.stack([sv, second_slot(sv)], axis=1)
+    w = np.zeros((g.shape[0], 2), dtype=np.complex128)
     if noise.sigma_n2 > 0:
         rng = keyed_generator(noise.seed)
-        w = (rng.standard_normal(received.shape) + 1j * rng.standard_normal(received.shape))
-        received = received + np.sqrt(noise.sigma_n2 / 2.0) * w
-    stacked = np.empty(2 * g.shape[0], dtype=np.complex128)
-    stacked[0::2] = received[:, 0]
-    stacked[1::2] = np.conj(received[:, 1])
-    return ReceivedVector(stacked)
+        w = np.sqrt(noise.sigma_n2 / 2.0) * (rng.standard_normal(w.shape) + 1j * rng.standard_normal(w.shape))
+    return ReceivedVector(receive(g, sv, w))

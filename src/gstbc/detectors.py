@@ -22,9 +22,11 @@ The recursion is written once and reads only the physical gains, never a
 built equivalent channel.  Each compressed entry is a Python number for
 one instance, or a (B,) array for a block of B instances whose gains are
 stored batch-last (N x 2M x B), which is how `gstbc.batch` runs `proposed`
-and `fixed_order`; a `flop_scope` around a block counts one instance.  Only
-the front end, the ordering, the guards and the output (`_scatter`) tell
-the two apart.  The recursion comes in two halves, the starting state
+and `fixed_order`; a `flop_scope` around a block counts one instance.  The
+layer choice (`select_layer`, one argmin over the layer axis) and the
+block-times-pair products serve both routes; only the front end, the
+interchange (`permute_workspace`), the guards and the output (`_scatter`)
+tell the two apart.  The recursion comes in two halves, the starting state
 (`_start_workspace`) and the layer loop (`_recurse`), so that every
 detector on one block can start from the same state.
 """
@@ -39,8 +41,8 @@ import numpy as np
 from .alamouti import (
     AlamoutiBlock,
     StructuredHermitianBlockMatrix,
-    ab_adjoint_apply,
-    ab_apply,
+    ab_adjoint_mul,
+    ab_mul,
     ab_mul_adjoint,
     ab_scale_real,
     ab_sub,
@@ -104,6 +106,12 @@ def _as_array(x):
     return x.entries if isinstance(x, ReceivedVector) else np.asarray(x)
 
 
+def _check_alpha(alpha) -> None:
+    """The regularizer must be a positive, finite number; NaN fails too."""
+    if not 0 < alpha < np.inf:
+        raise NonPositiveAlpha(f"alpha must be > 0 and finite, got {alpha}")
+
+
 def _check_instance(hp, x, alpha: float):
     """Check the gains, or the already-stacked equivalent form, and the
     samples; return the equivalent channel and the samples as arrays."""
@@ -113,8 +121,7 @@ def _check_instance(hp, x, alpha: float):
         raise InvalidDimensions(f"equivalent channel must be 2N x 2M, got {a.shape}")
     if xv.ndim != 1 or xv.size != a.shape[0]:
         raise InvalidDimensions(f"received vector length {xv.size} does not match 2N={a.shape[0]}")
-    if not alpha > 0:
-        raise NonPositiveAlpha(f"alpha must be > 0, got {alpha}")
+    _check_alpha(alpha)
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(xv))):
         raise InvalidDimensions("channel gains and received samples must be finite")
     return a, xv
@@ -169,8 +176,7 @@ def init_gram(hp, alpha: float) -> StructuredHermitianBlockMatrix:
     Alamouti, so only those parts are ever computed: per off-diagonal
     block 4N complex mults, per diagonal scalar 4N real mults.
     """
-    if not alpha > 0:
-        raise NonPositiveAlpha(f"alpha must be > 0, got {alpha}")
+    _check_alpha(alpha)
     g, entries = _front_end(hp)
     m = g.shape[1] // 2
     n = g.shape[0]
@@ -279,15 +285,7 @@ def select_layer(ws: DetectorWorkspace):
     quality); returns the even scalar index 2(i+1) of the chosen block,
     over a block a (B,) array of them.  Ties resolve to the smallest
     index."""
-    if isinstance(ws.Qbar.diag[0], np.ndarray):
-        return 2 * (np.argmin(np.stack(ws.Qbar.diag), axis=0) + 1)
-    best = 0
-    best_val = ws.Qbar.diag[0]
-    for i in range(1, ws.m):
-        if ws.Qbar.diag[i] < best_val:
-            best = i
-            best_val = ws.Qbar.diag[i]
-    return 2 * (best + 1)
+    return 2 * (np.argmin(ws.Qbar.diag, axis=0) + 1)
 
 
 def permute_workspace(ws: DetectorWorkspace, l: int) -> DetectorWorkspace:
@@ -376,7 +374,7 @@ def estimate_layer(ws: DetectorWorkspace):
     y1 = rcmul(omega, ws.z[2 * m - 2])
     y2 = rcmul(omega, ws.z[2 * m - 1])
     for j in range(m - 1):
-        c1, c2 = ab_adjoint_apply(ws.Qbar.block(j, m - 1), ws.z[2 * j], ws.z[2 * j + 1])
+        c1, c2 = ab_adjoint_mul(ws.Qbar.block(j, m - 1), AlamoutiBlock(ws.z[2 * j], ws.z[2 * j + 1]))
         y1 = cadd(y1, c1)
         y2 = cadd(y2, c2)
     return y1, y2
@@ -419,7 +417,7 @@ def cancel_layer(ws: DetectorWorkspace, s1: complex, s2: complex) -> DetectorWor
     q_next = deflate_covariance(ws)
     z = []
     for j in range(m - 1):
-        t1, t2 = ab_apply(ws.Rbar.block(j, m - 1), s1, s2)
+        t1, t2 = ab_mul(ws.Rbar.block(j, m - 1), AlamoutiBlock(s1, s2))
         z.append(csub(ws.z[2 * j], t1))
         z.append(csub(ws.z[2 * j + 1], t2))
     return DetectorWorkspace(m - 1, sbm_leading(ws.Rbar, m - 1), q_next, tuple(z), ws.p)

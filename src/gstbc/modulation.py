@@ -1,4 +1,8 @@
-"""Gray-mapped QPSK at unit symbol energy."""
+"""Gray-mapped QPSK at unit symbol energy.
+
+Mapping and demapping work over the last axis, so one call serves a
+single bit vector or a whole block of them.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +14,8 @@ _SCALE = 1.0 / np.sqrt(2.0)
 
 
 def qpsk_modulate(bits) -> np.ndarray:
-    """Map a bit vector (values 0/1, even length) to QPSK symbols.
+    """Map bits (values 0/1, even length along the last axis) to QPSK
+    symbols, (..., 2K) to (..., K).
 
     The pair (b0, b1) maps to ((1 - 2 b0) + 1j (1 - 2 b1)) / sqrt(2), i.e.
     b0 selects the sign of the real part and b1 of the imaginary part.
@@ -18,12 +23,12 @@ def qpsk_modulate(bits) -> np.ndarray:
     energy is 1.
     """
     bits = np.asarray(bits)
-    if bits.ndim != 1 or bits.size % 2 != 0:
-        raise OddBitCount(f"need a flat, even-length bit vector, got shape {bits.shape}")
+    if bits.ndim == 0 or bits.shape[-1] % 2 != 0:
+        raise OddBitCount(f"need an even number of bits along the last axis, got shape {bits.shape}")
     if not np.all((bits == 0) | (bits == 1)):
         raise OddBitCount("bit values must be 0 or 1")
-    re = 1.0 - 2.0 * bits[0::2]
-    im = 1.0 - 2.0 * bits[1::2]
+    re = 1.0 - 2.0 * bits[..., 0::2]
+    im = 1.0 - 2.0 * bits[..., 1::2]
     return _SCALE * (re + 1j * im)
 
 
@@ -44,9 +49,10 @@ def qpsk_slice_array(y) -> np.ndarray:
 
 
 def qpsk_demap(symbols) -> np.ndarray:
-    """Recover the bit vector from (hard or soft) symbol values by sign."""
+    """Recover the bits from (hard or soft) symbol values by sign, over the
+    last axis: (..., K) to (..., 2K)."""
     symbols = np.asarray(symbols)
-    bits = np.empty(2 * symbols.size, dtype=np.int64)
-    bits[0::2] = (symbols.real < 0).astype(np.int64)
-    bits[1::2] = (symbols.imag < 0).astype(np.int64)
+    bits = np.empty(symbols.shape[:-1] + (2 * symbols.shape[-1],), dtype=np.int64)
+    bits[..., 0::2] = symbols.real < 0
+    bits[..., 1::2] = symbols.imag < 0
     return bits

@@ -10,7 +10,10 @@ and the regularizer passed to the detectors is alpha = sigma_n2 /
 sigma_s2.  Each point is split into fixed-size blocks; within a block
 every detector sees the same channels, symbols and noise (common random
 numbers), and the stream for (point, block) is keyed independently so
-results do not depend on evaluation order.  Each drawn block is wrapped
+results do not depend on evaluation order.  A block's bits are mapped by
+`modulation.qpsk_modulate` and sent through `channel.receive`, the channel
+use that `channel.transmit` runs on one instance; errors are counted
+against `qpsk_demap` of the decisions.  Each drawn block is wrapped
 once in a `batch.PreparedBlock`, so the detectors share its checks and
 front ends (the recursion's starting state, the dense Gram and matched
 filter, the Gram's inverse) instead of each rebuilding them; the block is
@@ -20,6 +23,7 @@ dropped before the next draw.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -33,8 +37,9 @@ from .batch import (
     detect_osic_symbolwise_batch,
     detect_sic_groupwise_batch,
 )
-from .channel import keyed_generator, second_slot
+from .channel import keyed_generator, receive
 from .errors import ConfigInvalid
+from .modulation import qpsk_demap, qpsk_modulate
 
 BLOCK_SIZE = 25_000
 
@@ -66,6 +71,11 @@ class SimConfig:
     sigma_s2: ClassVar[float] = 1.0
 
     def __post_init__(self):
+        for name in ("layers", "n_rx", "trials", "seed"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ConfigInvalid(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.layers < 1 or self.n_rx < self.layers:
             raise ConfigInvalid(
                 f"need n_rx >= layers >= 1, got layers={self.layers} n_rx={self.n_rx}"
@@ -78,6 +88,8 @@ class SimConfig:
             noise = [math.nan]
         if not all(0 < v < math.inf for v in noise):
             raise ConfigInvalid(f"snr_db values must give a noise variance and alpha finite and > 0, got {self.snr_db}")
+        if not self.detectors:
+            raise ConfigInvalid("detectors must name at least one detector")
         unknown = [d for d in self.detectors if d not in DETECTORS]
         if unknown:
             raise ConfigInvalid(f"unknown detectors: {unknown}; known: {sorted(DETECTORS)}")
@@ -112,25 +124,16 @@ def _draw_block(rng, count, layers, n_rx, sigma_n2):
         + 1j * rng.standard_normal((count, n_rx, two_m))
     ) * _SCALE
     bits = rng.integers(0, 2, size=(count, 2 * two_m)).astype(np.int8)
-    s = ((1 - 2 * bits[:, 0::2]) + 1j * (1 - 2 * bits[:, 1::2])) * _SCALE
-    t2 = second_slot(s)
+    s = qpsk_modulate(bits)
     noise = (
         rng.standard_normal((count, n_rx, 2))
         + 1j * rng.standard_normal((count, n_rx, 2))
     ) * math.sqrt(sigma_n2 / 2.0)
-    slot1 = np.einsum("bnj,bj->bn", h, s) + noise[:, :, 0]
-    slot2 = np.einsum("bnj,bj->bn", h, t2) + noise[:, :, 1]
-    x = np.empty((count, 2 * n_rx), dtype=np.complex128)
-    x[:, 0::2] = slot1
-    x[:, 1::2] = np.conj(slot2)  # stacked with the second slot conjugated
-    return h, bits, s, x
+    return h, bits, s, receive(h, s, noise)
 
 
 def _bit_errors(decisions, bits):
-    got = np.empty_like(bits)
-    got[:, 0::2] = (decisions.real < 0).astype(np.int8)
-    got[:, 1::2] = (decisions.imag < 0).astype(np.int8)
-    wrong = got != bits
+    wrong = qpsk_demap(decisions) != bits
     return int(wrong.sum()), int(np.any(wrong, axis=1).sum())
 
 

@@ -2,14 +2,10 @@ import numpy as np
 import pytest
 
 from gstbc.alamouti import (
-    AB_IDENTITY,
-    AB_ZERO,
     AlamoutiBlock,
     StructuredHermitianBlockMatrix,
     ab_add,
     ab_adjoint,
-    ab_adjoint_apply,
-    ab_apply,
     ab_dense,
     ab_from_dense,
     ab_adjoint_mul,
@@ -17,9 +13,7 @@ from gstbc.alamouti import (
     ab_mul_adjoint,
     ab_scale_real,
     ab_sub,
-    sbm_build,
     sbm_from_dense,
-    sbm_identity,
     sbm_leading,
     sbm_matvec,
     sbm_swap_blocks,
@@ -75,16 +69,16 @@ def test_apply_matches_dense():
         x = random_block()
         v = RNG.standard_normal(2) + 1j * RNG.standard_normal(2)
         d = dense_oracle(x)
-        got = ab_apply(x, v[0], v[1])
-        assert np.allclose(np.asarray(got), d @ v)
-        got_adj = ab_adjoint_apply(x, v[0], v[1])
-        assert np.allclose(np.asarray(got_adj), d.conj().T @ v)
+        # a pair is the first column of the block it generates
+        pair = AlamoutiBlock(v[0], v[1])
+        assert np.allclose(np.asarray(ab_mul(x, pair)), d @ v)
+        assert np.allclose(np.asarray(ab_adjoint_mul(x, pair)), d.conj().T @ v)
 
 
 def test_identity_and_zero():
     x = random_block()
-    assert ab_mul(AB_IDENTITY, x) == x
-    assert ab_add(AB_ZERO, x) == x
+    assert ab_mul(AlamoutiBlock(1 + 0j, 0j), x) == x
+    assert ab_add(AlamoutiBlock(0j, 0j), x) == x
 
 
 def test_from_dense_roundtrip_and_rejection():
@@ -143,13 +137,6 @@ def test_sbm_from_dense_rejects_broken_structure():
         sbm_from_dense(d, tol=1e-9)
 
 
-def test_sbm_identity_and_build():
-    ident = sbm_identity(3, 2.5)
-    assert np.allclose(np.asarray(sbm_to_dense(ident)), 2.5 * np.eye(6))
-    built = sbm_build(3, [1.0, 2.0, 3.0], lambda i, j: AlamoutiBlock(i + 1j * j, 0))
-    assert built.block(0, 2) == AlamoutiBlock(0 + 2j, 0)
-
-
 def test_sbm_swap_matches_dense_permutation():
     for m in (2, 3, 5):
         a = random_sbm(m)
@@ -187,7 +174,7 @@ def test_sbm_rejects_bad_shapes():
     with pytest.raises(Exception):
         StructuredHermitianBlockMatrix(2, (1.0,), ())  # diag too short
     with pytest.raises(Exception):
-        StructuredHermitianBlockMatrix(2, (1.0, 2.0), (AB_ZERO, AB_ZERO))  # upper too long
+        StructuredHermitianBlockMatrix(2, (1.0, 2.0), (AlamoutiBlock(0j, 0j), AlamoutiBlock(0j, 0j)))  # upper too long
     with pytest.raises(StructureViolation):
         sbm_from_dense(np.eye(5))  # odd size
 

@@ -113,6 +113,19 @@ def test_batch_rejects_bad_alpha():
             fn(h, x, alpha=0.0)
 
 
+def test_every_entry_point_rejects_non_finite_alpha():
+    # an infinite regularizer is no MMSE problem; all ten entry points name
+    # the bad alpha instead of failing a pivot or slicing zeros
+    rng = np.random.default_rng(44)
+    h, _, x = random_batch(rng, 3, 2, 2, 0.1)
+    for alpha in (np.inf, np.nan):
+        for name in BATCH_PAIRS:
+            with pytest.raises(NonPositiveAlpha, match="finite"):
+                BATCH_PAIRS[name](h, x, alpha=alpha)
+            with pytest.raises(NonPositiveAlpha, match="finite"):
+                SCALAR_DETECTORS[name](ChannelMatrix(h[0]), x[0], alpha=alpha)
+
+
 def test_batch_single_instance_shapes():
     rng = np.random.default_rng(46)
     h, _, x = random_batch(rng, 1, 4, 6, 0.1)

@@ -7,6 +7,7 @@ from gstbc.channel import (
     build_equivalent,
     generate_channel,
     keyed_generator,
+    receive,
     transmit,
 )
 from gstbc.errors import InvalidDimensions
@@ -110,3 +111,23 @@ def test_transmit_validates_symbol_length():
     h = generate_channel(2, 2, seed=0)
     with pytest.raises(InvalidDimensions):
         transmit(h, qpsk_modulate([0, 1]), NoiseSpec(sigma_n2=0.0))
+
+
+def test_transmit_is_one_row_of_the_block_channel_use():
+    # one channel use serves both routes: transmit's samples are bytewise
+    # the matching row of `receive` over a block carrying the same noise
+    rng = keyed_generator(3, 1)
+    count, n_rx, two_m = 6, 3, 4
+    h = rng.standard_normal((count, n_rx, two_m)) + 1j * rng.standard_normal((count, n_rx, two_m))
+    s = qpsk_modulate(rng.integers(0, 2, size=(count, 2 * two_m)))
+    sigma_n2 = [0.0, 0.3] * (count // 2)
+    noise = np.zeros((count, n_rx, 2), dtype=np.complex128)
+    for k in range(count):
+        if sigma_n2[k]:
+            w = keyed_generator(10 + k)
+            noise[k] = np.sqrt(sigma_n2[k] / 2.0) * (w.standard_normal((n_rx, 2)) + 1j * w.standard_normal((n_rx, 2)))
+    x = receive(h, s, noise)
+    assert x.shape == (count, 2 * n_rx)
+    for k in range(count):
+        one = transmit(ChannelMatrix(h[k]), s[k], NoiseSpec(sigma_n2=sigma_n2[k], seed=10 + k))
+        assert np.asarray(one.entries).tobytes() == x[k].tobytes(), k

@@ -32,6 +32,22 @@ def test_unit_symbol_energy():
 def test_odd_bit_count_rejected():
     with pytest.raises(OddBitCount):
         qpsk_modulate([0, 1, 0])
+    with pytest.raises(OddBitCount):
+        qpsk_modulate(np.zeros((4, 5), dtype=np.int8))
+
+
+def test_block_calls_equal_row_calls():
+    # mapping and demapping work over the last axis: a (B, .) block gives
+    # bytewise the rows of the 1-D calls
+    rng = np.random.default_rng(29)
+    bits = rng.integers(0, 2, size=(6, 10)).astype(np.int8)
+    soft = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+    mapped = qpsk_modulate(bits)
+    demapped = qpsk_demap(soft)
+    assert mapped.shape == (6, 5) and demapped.shape == (6, 10)
+    for k in range(6):
+        assert mapped[k].tobytes() == qpsk_modulate(bits[k]).tobytes()
+        assert demapped[k].tobytes() == qpsk_demap(soft[k]).tobytes()
 
 
 def test_demap_roundtrip():

@@ -34,9 +34,10 @@ def test_config_validation():
                 {"snr_db": (4000.0,)}, {"snr_db": (-4000.0,)},
                 {"detectors": ("proposed", "proposed")},
                 {"detectors": ("proposed", "linear_mmse", "proposed")},
-                {"seed": -1}):
+                {"seed": -1}, {"detectors": ()}, {"seed": 1.5}, {"trials": 10.5},
+                {"layers": 1.0}, {"n_rx": 1.0}):
         with pytest.raises(ConfigInvalid):
-            SimConfig(layers=1, n_rx=1, **bad)
+            SimConfig(**{"layers": 1, "n_rx": 1, **bad})
 
 
 def test_noise_power_convention():
