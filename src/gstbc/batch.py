@@ -7,12 +7,14 @@ detectors do, and return (B, 2M) decisions and soft values.
 Every engine reads its block through a `PreparedBlock`, which checks the
 block once and computes each front end on first use: the recursion's
 starting state, the dense Gram with its matched filter, and that Gram's
-inverse.  A sweep builds one per drawn block and passes it as `prepared=`
-to every detector, so the front ends are computed once per block; a call
-without it builds its own, so both calls run the same code.  The dense
-front end and the recursion's batch-last copy are built chunk by chunk of
-instances (`CHUNK_BYTES` of gains each) into the final arrays, so no
-whole-block equivalent channel or its conjugate is ever held.
+inverse.  A sweep builds one per slice of a drawn block (at most
+`sim.SLICE_SIZE` instances) and passes it as `prepared=` to every
+detector, so the front ends are computed once per slice and only one
+slice's are held; a call without it builds its own, so both calls run the
+same code.  The dense front end and the recursion's batch-last copy are
+built chunk by chunk of instances (`CHUNK_BYTES` of gains each) into the
+final arrays, so no whole-block equivalent channel or its conjugate is
+ever held.
 
 `proposed` and `fixed_order` run the counted recursion of
 `gstbc.detectors` itself over the gains stored batch-last, (N, 2M, B), so

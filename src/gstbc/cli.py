@@ -148,9 +148,15 @@ def _cmd_ber(args) -> int:
         )
         print(f"\r{line:<79}", end="", file=sys.stderr)
 
-    records = run_ber_sweep(config, progress=progress)
+    try:
+        records = run_ber_sweep(config, progress=progress)
+    except GstbcError as e:
+        records, failure = None, e
     if not args.quiet:
         print(file=sys.stderr)
+    if records is None:
+        print(f"error: {failure}", file=sys.stderr)
+        return 3
     if args.out:
         emit_csv(records, args.out, config)
         print(f"wrote {args.out}")

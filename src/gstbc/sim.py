@@ -13,11 +13,17 @@ numbers), and the stream for (point, block) is keyed independently so
 results do not depend on evaluation order.  A block's bits are mapped by
 `modulation.qpsk_modulate` and sent through `channel.receive`, the channel
 use that `channel.transmit` runs on one instance; errors are counted
-against `qpsk_demap` of the decisions.  Each drawn block is wrapped
-once in a `batch.PreparedBlock`, so the detectors share its checks and
-front ends (the recursion's starting state, the dense Gram and matched
-filter, the Gram's inverse) instead of each rebuilding them; the block is
-dropped before the next draw.
+against `qpsk_demap` of the decisions.
+
+A drawn block is detected a slice of at most SLICE_SIZE instances at a
+time.  Each slice is wrapped once in a `batch.PreparedBlock`, so the
+detectors share its checks and front ends (the recursion's starting
+state, the dense Gram and matched filter, the Gram's inverse) instead of
+each rebuilding them, and its front ends are dropped before the next
+slice; the drawn block is dropped before the next draw.  Every detector
+treats each instance on its own, so the records do not depend on the
+slicing, and a sweep's memory is bounded by one drawn block's gains and
+samples plus one slice's front ends.
 """
 
 from __future__ import annotations
@@ -38,10 +44,17 @@ from .batch import (
     detect_sic_groupwise_batch,
 )
 from .channel import keyed_generator, receive
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, GstbcError
 from .modulation import qpsk_demap, qpsk_modulate
 
 BLOCK_SIZE = 25_000
+# instances that a sweep's detectors take at once.  Of 2,048, 4,096 and
+# 8,192 (one BLAS thread), this swept 3-14% faster than either other size
+# at (8, 8) and (16, 16) with proposed, fixed_order and linear_mmse, and as
+# fast as 8,192 at (2, 8) with all five detectors
+SLICE_SIZE = 4_096
+# normals per fill of the draw's float buffer: 128 KiB, which stays in cache
+_DRAW_CHUNK = 16_384
 
 DETECTORS = {
     "proposed": detect_gstbc_batch,
@@ -117,24 +130,66 @@ def sigma_n2_for_snr(snr_db: float, sigma_s2: float = 1.0) -> float:
 
 
 def _draw_block(rng, count, layers, n_rx, sigma_n2):
-    """One block of channels, bit streams and stacked received vectors."""
+    """One block of channels, bit streams and stacked received vectors.
+
+    The gains are `(n1 + 1j*n2) * _SCALE` and the slot noise
+    `(n3 + 1j*n4) * sqrt(sigma_n2 / 2)`, with n1, n2, bits, n3, n4 drawn
+    in that order.  Each part is filled in place from one reused float
+    buffer, which takes the stream exactly as one `standard_normal` call
+    per part would and gives the same bits without complex temporaries.
+    """
     two_m = 2 * layers
-    h = (
-        rng.standard_normal((count, n_rx, two_m))
-        + 1j * rng.standard_normal((count, n_rx, two_m))
-    ) * _SCALE
+    buf = np.empty(_DRAW_CHUNK)
+    h = np.empty((count, n_rx, two_m), dtype=np.complex128)
+    _fill_normals(rng, h, _SCALE, buf)
     bits = rng.integers(0, 2, size=(count, 2 * two_m)).astype(np.int8)
     s = qpsk_modulate(bits)
-    noise = (
-        rng.standard_normal((count, n_rx, 2))
-        + 1j * rng.standard_normal((count, n_rx, 2))
-    ) * math.sqrt(sigma_n2 / 2.0)
+    noise = np.empty((count, n_rx, 2), dtype=np.complex128)
+    _fill_normals(rng, noise, math.sqrt(sigma_n2 / 2.0), buf)
     return h, bits, s, receive(h, s, noise)
+
+
+def _fill_normals(rng, out, scale, buf):
+    """Set the real parts of the complex array `out`, then its imaginary
+    parts, to `scale` times standard normals in C order, drawn through
+    `buf`."""
+    flat = out.reshape(-1)
+    for part in (flat.real, flat.imag):
+        for lo in range(0, part.size, buf.size):
+            chunk = buf[: part.size - lo]
+            rng.standard_normal(out=chunk)
+            np.multiply(chunk, scale, out=part[lo : lo + chunk.size])
 
 
 def _bit_errors(decisions, bits):
     wrong = qpsk_demap(decisions) != bits
     return int(wrong.sum()), int(np.any(wrong, axis=1).sum())
+
+
+def _tally_block(names, tally, h, bits, x, alpha, where):
+    """Add each named detector's bit and frame errors on one drawn block to
+    `tally`, detecting a slice of at most SLICE_SIZE instances at a time.
+
+    A `GstbcError` of a detector is raised again, as the same type, with
+    the detector, `where` (the point and block) and the slice's instances.
+    """
+    for lo in range(0, len(h), SLICE_SIZE):
+        hi = min(lo + SLICE_SIZE, len(h))
+        hs, xs, bs = h[lo:hi], x[lo:hi], bits[lo:hi]
+        block = PreparedBlock(hs, xs, alpha)
+        for name in names:
+            try:
+                out = DETECTORS[name](hs, xs, alpha, prepared=block)
+            except GstbcError as err:
+                raise type(err)(f"{name} at {where}, instances {lo}-{hi - 1}: {err}") from err
+            errs, ferrs = _bit_errors(out.decisions, bs)
+            t = tally[name]
+            t[0] += bs.size
+            t[1] += errs
+            t[2] += bs.shape[0]
+            t[3] += ferrs
+        # the slice's front ends must not stay alive through the next slice
+        del block, out
 
 
 def run_ber_sweep(config: SimConfig, progress=None) -> list:
@@ -143,7 +198,8 @@ def run_ber_sweep(config: SimConfig, progress=None) -> list:
     Exactly `config.trials` channel uses are simulated per point, in
     blocks of at most BLOCK_SIZE; block (point_idx, block_idx) owns an
     independently keyed stream, so the output is a pure function of the
-    config regardless of evaluation order.
+    config regardless of evaluation order.  A detector failure raises its
+    `GstbcError` naming the detector, point, block and instances.
     """
     records = []
     blocks = math.ceil(config.trials / BLOCK_SIZE)
@@ -154,20 +210,12 @@ def run_ber_sweep(config: SimConfig, progress=None) -> list:
         for block_idx in range(blocks):
             count = min(BLOCK_SIZE, config.trials - block_idx * BLOCK_SIZE)
             rng = keyed_generator(config.seed, point_idx, block_idx)
-            h, bits, _, x = _draw_block(
+            h, bits, s, x = _draw_block(
                 rng, count, config.layers, config.n_rx, sigma_n2
             )
-            block = PreparedBlock(h, x, alpha)
-            for name in config.detectors:
-                out = DETECTORS[name](h, x, alpha, prepared=block)
-                errs, ferrs = _bit_errors(out.decisions, bits)
-                t = tally[name]
-                t[0] += bits.size
-                t[1] += errs
-                t[2] += bits.shape[0]
-                t[3] += ferrs
-            # the cached front ends must not stay alive through the next draw
-            del block
+            _tally_block(config.detectors, tally, h, bits, x, alpha, f"{snr_db:g} dB, block {block_idx}")
+            # the drawn block must not stay alive through the next draw
+            del h, bits, s, x
             if progress is not None:
                 progress(point_idx, block_idx, blocks)
         for name in config.detectors:

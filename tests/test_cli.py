@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+import gstbc.sim as sim
 from gstbc.channel import NoiseSpec, generate_channel, transmit
 from gstbc.cli import main, parse_instance
-from gstbc.errors import ParseError
+from gstbc.errors import ParseError, SingularPivot
 from gstbc.modulation import qpsk_modulate
 
 S = 1 / math.sqrt(2)
@@ -225,6 +226,20 @@ def test_ber_command_rejects_bad_config(capsys):
     assert "must not repeat" in capsys.readouterr().err
     assert main(base + ["--seed", "-1"]) == 2
     assert "seed must be >= 0" in capsys.readouterr().err
+
+
+def test_ber_detector_failure_exits_3(monkeypatch, capsys):
+    def singular(h, x, alpha, prepared=None):
+        raise SingularPivot("pivot 0 vanishes")
+
+    monkeypatch.setitem(sim.DETECTORS, "linear_mmse", singular)
+    argv = ["ber", "--m", "2", "--n", "2", "--snr-start", "3", "--snr-stop", "3",
+            "--trials", "10", "--detectors", "proposed,linear_mmse"]
+    for quiet in ([], ["--quiet"]):
+        assert main(argv + quiet) == 3
+        shown = capsys.readouterr()
+        assert shown.out == ""
+        assert shown.err.endswith("error: linear_mmse at 3 dB, block 0, instances 0-9: pivot 0 vanishes\n")
 
 
 def test_unknown_subcommand_is_refused(capsys):

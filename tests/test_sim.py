@@ -1,10 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import gstbc.batch as batch
 import gstbc.sim as sim
-from gstbc.errors import ConfigInvalid
+from gstbc.channel import keyed_generator, receive
+from gstbc.errors import ConfigInvalid, SingularPivot
+from gstbc.modulation import qpsk_modulate
 from gstbc.sim import (
     BerRecord,
     SimConfig,
@@ -89,6 +93,88 @@ def test_shared_block_sweep_matches_one_detector_sweeps(monkeypatch):
     key = lambda r: (r.detector, r.snr_db)
     assert sorted(shared, key=key) == sorted(alone, key=key)
     assert len(shared) == 10 and all(r.frames == 100 for r in shared)
+
+
+def test_slicing_changes_no_record(monkeypatch):
+    # a slice that does not divide the block gives the records of whole
+    # blocks, and no block the sweep prepares holds more than a slice
+    monkeypatch.setattr(sim, "BLOCK_SIZE", 40)
+    sizes = []
+
+    class Counted(batch.PreparedBlock):
+        def __init__(self, h, x, alpha):
+            sizes.append(len(h))
+            super().__init__(h, x, alpha)
+
+    monkeypatch.setattr(sim, "PreparedBlock", Counted)
+    for layers, n_rx in ((2, 3), (3, 4)):
+        cfg = SimConfig(layers=layers, n_rx=n_rx, snr_db=(-2.0, 3.0),
+                        detectors=tuple(sim.DETECTORS), trials=100, seed=23)
+        monkeypatch.setattr(sim, "SLICE_SIZE", 40)
+        whole = run_ber_sweep(cfg)
+        monkeypatch.setattr(sim, "SLICE_SIZE", 7)
+        sizes.clear()
+        assert run_ber_sweep(cfg) == whole
+        assert max(sizes) == 7 and sum(sizes) == 2 * 100
+        assert len(whole) == 10 and all(r.frames == 100 for r in whole)
+
+
+def test_detector_failure_names_detector_point_block_and_slice(monkeypatch):
+    monkeypatch.setattr(sim, "BLOCK_SIZE", 40)
+    monkeypatch.setattr(sim, "SLICE_SIZE", 16)
+    real = sim.DETECTORS["linear_mmse"]
+    calls = []
+
+    def fails_on_third_slice(h, x, alpha, prepared=None):
+        calls.append(len(h))
+        if len(calls) == 3:
+            raise SingularPivot("pivot vanishes")
+        return real(h, x, alpha, prepared=prepared)
+
+    monkeypatch.setitem(sim.DETECTORS, "linear_mmse", fails_on_third_slice)
+    cfg = SimConfig(layers=2, n_rx=2, snr_db=(2.0,), detectors=("proposed", "linear_mmse"), trials=100, seed=3)
+    with pytest.raises(SingularPivot) as info:
+        run_ber_sweep(cfg)
+    assert str(info.value) == "linear_mmse at 2 dB, block 0, instances 32-39: pivot vanishes"
+    assert isinstance(info.value.__cause__, SingularPivot)
+    assert calls == [16, 16, 8]
+
+
+def _composite_draw(rng, count, layers, n_rx, sigma_n2):
+    """The draw as whole-array normals and complex arithmetic."""
+    shape = (count, n_rx, 2 * layers)
+    h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * sim._SCALE
+    bits = rng.integers(0, 2, size=(count, 4 * layers)).astype(np.int8)
+    s = qpsk_modulate(bits)
+    slots = (count, n_rx, 2)
+    noise = (rng.standard_normal(slots) + 1j * rng.standard_normal(slots)) * math.sqrt(sigma_n2 / 2.0)
+    return h, bits, s, receive(h, s, noise)
+
+
+@pytest.mark.parametrize("layers,n_rx", [(1, 1), (2, 8), (8, 8)])
+@pytest.mark.parametrize("sigma_n2", [0.0, 0.35])
+def test_draw_is_bytewise_the_composite_draw(layers, n_rx, sigma_n2):
+    # 1,500 instances at (8, 8) fill the draw's buffer 12 times per part
+    count = 1500
+    new = sim._draw_block(keyed_generator(9, 1, 2), count, layers, n_rx, sigma_n2)
+    old = _composite_draw(keyed_generator(9, 1, 2), count, layers, n_rx, sigma_n2)
+    for a, b in zip(new, old):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def test_sweep_memory_is_bounded_by_a_slice():
+    # one (8, 8) point of 10,000 trials: holding the whole block's front
+    # ends at once traced 98 MiB, a slice at a time 55 MiB
+    cfg = SimConfig(layers=8, n_rx=8, snr_db=(0.0,), trials=10_000, seed=29,
+                    detectors=("proposed", "fixed_order", "linear_mmse"))
+    tracemalloc.start()
+    try:
+        run_ber_sweep(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 70 * 2**20
 
 
 def test_seed_changes_output():
