@@ -15,8 +15,8 @@ compressed form: one real scalar per diagonal block plus one Alamouti
 block per strict-upper off-diagonal position.  The lower triangle is
 implied by Hermitian symmetry and is never stored.
 
-All arithmetic helpers route through the counted primitives in
-`gstbc.flops`, charging compressed cost: a block-times-block product is 4
+Each arithmetic helper computes with plain operators and makes one charge
+in `gstbc.flops`, at compressed cost: a block-times-block product is 4
 complex mults + 2 complex adds, and a real-scalar-times-block is 4 real
 mults.  Pure data movement (conversion, permutation, slicing) is free.
 A symbol pair (c1, c2) is the first column of `AlamoutiBlock(c1, c2)`,
@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import StructureViolation
-from .flops import cadd, cmul, csub, rcmul
+from .flops import charge, cost
 
 
 class AlamoutiBlock(NamedTuple):
@@ -43,6 +43,16 @@ class AlamoutiBlock(NamedTuple):
 
     a1: complex
     a2: complex
+
+
+# the helpers build their results with the plain tuple constructor, which
+# skips the NamedTuple's Python-level __new__
+_new_tuple = tuple.__new__
+
+# the fixed charge of each arithmetic helper
+_ADD = cost(cadd=2)
+_MUL = cost(cmul=4, cadd=2)
+_SCALE = cost(rcmul=2)
 
 
 def ab_dense(x: AlamoutiBlock) -> np.ndarray:
@@ -68,17 +78,19 @@ def ab_from_dense(block, tol: float = 1e-9) -> AlamoutiBlock:
 
 def ab_adjoint(x: AlamoutiBlock) -> AlamoutiBlock:
     """Conjugate transpose; free of charge (conjugation and negation only)."""
-    return AlamoutiBlock(x.a1.conjugate(), -x.a2)
+    return _new_tuple(AlamoutiBlock, (x.a1.conjugate(), -x.a2))
 
 
 def ab_add(x: AlamoutiBlock, y: AlamoutiBlock) -> AlamoutiBlock:
     """Block sum: 2 complex adds."""
-    return AlamoutiBlock(cadd(x.a1, y.a1), cadd(x.a2, y.a2))
+    charge(*_ADD)
+    return _new_tuple(AlamoutiBlock, (x.a1 + y.a1, x.a2 + y.a2))
 
 
 def ab_sub(x: AlamoutiBlock, y: AlamoutiBlock) -> AlamoutiBlock:
     """Block difference: 2 complex adds."""
-    return AlamoutiBlock(csub(x.a1, y.a1), csub(x.a2, y.a2))
+    charge(*_ADD)
+    return _new_tuple(AlamoutiBlock, (x.a1 - y.a1, x.a2 - y.a2))
 
 
 def ab_mul(x: AlamoutiBlock, y: AlamoutiBlock) -> AlamoutiBlock:
@@ -87,28 +99,33 @@ def ab_mul(x: AlamoutiBlock, y: AlamoutiBlock) -> AlamoutiBlock:
     Closure: the product of two Alamouti blocks is again an Alamouti block
     with c1 = a1 b1 - conj(a2) b2 and c2 = a2 b1 + conj(a1) b2.
     """
-    c1 = csub(cmul(x.a1, y.a1), cmul(x.a2.conjugate(), y.a2))
-    c2 = cadd(cmul(x.a2, y.a1), cmul(x.a1.conjugate(), y.a2))
-    return AlamoutiBlock(c1, c2)
+    charge(*_MUL)
+    x1, x2 = x
+    y1, y2 = y
+    return _new_tuple(AlamoutiBlock, (x1 * y1 - x2.conjugate() * y2, x2 * y1 + x1.conjugate() * y2))
 
 
 def ab_mul_adjoint(x: AlamoutiBlock, y: AlamoutiBlock) -> AlamoutiBlock:
     """x y^H: the sums of `ab_mul(x, ab_adjoint(y))`, forming no adjoint."""
-    c1 = cadd(cmul(x.a1, y.a1.conjugate()), cmul(x.a2.conjugate(), y.a2))
-    c2 = csub(cmul(x.a2, y.a1.conjugate()), cmul(x.a1.conjugate(), y.a2))
-    return AlamoutiBlock(c1, c2)
+    charge(*_MUL)
+    x1, x2 = x
+    y1, y2 = y
+    y1c = y1.conjugate()
+    return _new_tuple(AlamoutiBlock, (x1 * y1c + x2.conjugate() * y2, x2 * y1c - x1.conjugate() * y2))
 
 
 def ab_adjoint_mul(x: AlamoutiBlock, y: AlamoutiBlock) -> AlamoutiBlock:
     """x^H y: the sums of `ab_mul(ab_adjoint(x), y)`, forming no adjoint."""
-    c1 = cadd(cmul(x.a1.conjugate(), y.a1), cmul(x.a2.conjugate(), y.a2))
-    c2 = csub(cmul(x.a1, y.a2), cmul(x.a2, y.a1))
-    return AlamoutiBlock(c1, c2)
+    charge(*_MUL)
+    x1, x2 = x
+    y1, y2 = y
+    return _new_tuple(AlamoutiBlock, (x1.conjugate() * y1 + x2.conjugate() * y2, x1 * y2 - x2 * y1))
 
 
 def ab_scale_real(r: float, x: AlamoutiBlock) -> AlamoutiBlock:
     """Real scalar times block: 4 real mults (dedicated cheap path)."""
-    return AlamoutiBlock(rcmul(r, x.a1), rcmul(r, x.a2))
+    charge(*_SCALE)
+    return _new_tuple(AlamoutiBlock, (r * x.a1, r * x.a2))
 
 
 @dataclass(frozen=True)
@@ -134,6 +151,17 @@ class StructuredHermitianBlockMatrix:
     def _uidx(self, i: int, j: int) -> int:
         # row-major strict upper triangle
         return i * (2 * self.m - i - 1) // 2 + (j - i - 1)
+
+    def upper_rows(self) -> list:
+        """The strict upper triangle as m rows; row i holds (i, i+1), ...,
+        (i, m-1)."""
+        rows = []
+        start = 0
+        for i in range(self.m):
+            stop = start + self.m - 1 - i
+            rows.append(self.upper[start:stop])
+            start = stop
+        return rows
 
     def block(self, i: int, j: int) -> AlamoutiBlock:
         """Return block (i, j); the lower triangle is served by adjoint."""
@@ -236,16 +264,24 @@ def sbm_matvec(a: StructuredHermitianBlockMatrix, v) -> list:
     its stored upper block (`ab_adjoint_mul`).  `v` is a sequence of m
     AlamoutiBlocks; returns a list of m AlamoutiBlocks.
     """
+    m = a.m
+    rows = a.upper_rows()
     out = []
-    for i in range(a.m):
-        acc = None
-        for j in range(a.m):
+    for i in range(m):
+        acc1 = acc2 = None
+        for j in range(m):
             if j == i:
-                term = ab_scale_real(a.diag[i], v[i])
+                t1, t2 = ab_scale_real(a.diag[i], v[i])
             elif i < j:
-                term = ab_mul(a.upper[a._uidx(i, j)], v[j])
+                t1, t2 = ab_mul(rows[i][j - i - 1], v[j])
             else:
-                term = ab_adjoint_mul(a.upper[a._uidx(j, i)], v[j])
-            acc = term if acc is None else ab_add(acc, term)
-        out.append(acc)
+                t1, t2 = ab_adjoint_mul(rows[j][i - j - 1], v[j])
+            if acc1 is None:
+                acc1, acc2 = t1, t2
+            else:
+                acc1 += t1
+                acc2 += t2
+        out.append(_new_tuple(AlamoutiBlock, (acc1, acc2)))
+    # the m - 1 block sums of each output block
+    charge(*cost(cadd=2 * m * (m - 1)))
     return out

@@ -57,8 +57,8 @@ class BatchDetection:
 
 def _check_block(h, x, alpha):
     """The checks of the scalar detectors, over a block."""
-    if h.ndim != 3 or h.shape[2] % 2 or h.shape[2] == 0:
-        raise InvalidDimensions(f"channel block must be B x N x 2M, got {h.shape}")
+    if h.ndim != 3 or h.shape[2] % 2 or 0 in h.shape[1:]:
+        raise InvalidDimensions(f"channel block must be B x N x 2M with N, M >= 1, got {h.shape}")
     if x.shape != (h.shape[0], 2 * h.shape[1]):
         raise InvalidDimensions(f"received block must be B x 2N, got {x.shape} for channels {h.shape}")
     detectors._check_alpha(alpha)

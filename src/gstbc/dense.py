@@ -5,14 +5,14 @@ pivot-free Gauss-Jordan inverse.  Regularized Gram matrices are Hermitian
 positive definite, so elimination needs no row interchanges and every
 pivot stays real and positive; the arithmetic is therefore branch-free
 and the flop count of any detector built on top is independent of the
-input values.  Everything routes through the counted primitives in
+input values.  Each loop is plain arithmetic with one charge in
 `gstbc.flops`.
 """
 
 from __future__ import annotations
 
 from .errors import PIVOT_REL_TOL, SingularPivot
-from .flops import cadd, cmul, csub, rcmul, rdiv
+from .flops import cdotc, charge, cost
 
 
 def gram_plus_alpha(columns, alpha: float):
@@ -27,28 +27,19 @@ def gram_plus_alpha(columns, alpha: float):
     for i in range(k):
         ci = columns[i]
         for j in range(i, k):
-            cj = columns[j]
-            acc = cmul(ci[0].conjugate(), cj[0])
-            for r in range(1, len(ci)):
-                acc = cadd(acc, cmul(ci[r].conjugate(), cj[r]))
+            acc = cdotc(ci, columns[j])
             if i == j:
-                acc = cadd(acc, complex(alpha))
-                rows[i][i] = acc
+                rows[i][i] = acc + complex(alpha)
             else:
                 rows[i][j] = acc
                 rows[j][i] = acc.conjugate()
+    charge(*cost(cadd=k))
     return rows
 
 
 def adjoint_apply(columns, vec):
     """Return H^H vec for H given by `columns`."""
-    out = []
-    for col in columns:
-        acc = cmul(col[0].conjugate(), vec[0])
-        for r in range(1, len(col)):
-            acc = cadd(acc, cmul(col[r].conjugate(), vec[r]))
-        out.append(acc)
-    return out
+    return [cdotc(col, vec) for col in columns]
 
 
 def gj_inverse_hpd(a):
@@ -72,17 +63,16 @@ def gj_inverse_hpd(a):
             raise SingularPivot(f"elimination pivot {col} is not real: {pivot!r}")
         if not pivot.real > tol:
             raise SingularPivot(f"elimination pivot {col} is not positive: {pivot.real!r}")
-        inv_p = rdiv(1.0, pivot.real)
-        row = work[col]
-        for c in range(n + n):
-            row[c] = rcmul(inv_p, row[c])
+        inv_p = 1.0 / pivot.real
+        row = work[col] = [inv_p * c for c in work[col]]
         for r in range(n):
             if r == col:
                 continue
             # no zero-factor shortcut: elimination stays branch-free so the
             # flop count depends only on the matrix size
             factor = work[r][col]
-            target = work[r]
-            for c in range(n + n):
-                target[c] = csub(target[c], cmul(factor, row[c]))
+            work[r] = [t - factor * c for t, c in zip(work[r], row)]
+        # one pivot division, the pivot row scaled, every other row
+        # eliminated over all 2n columns
+        charge(*cost(rdiv=1, rcmul=2 * n, cmul=2 * n * (n - 1), cadd=2 * n * (n - 1)))
     return [row[n:] for row in work]

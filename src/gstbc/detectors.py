@@ -33,6 +33,7 @@ detector on one block can start from the same state.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -54,7 +55,7 @@ from .channel import ChannelMatrix, EquivalentChannel, ReceivedVector, build_equ
 from .dense import adjoint_apply, gj_inverse_hpd, gram_plus_alpha
 from .errors import IMAG_REL_TOL, PIVOT_REL_TOL, TIE_REL_TOL
 from .errors import InvalidDimensions, NonPositiveAlpha, SingularPivot, StructureViolation
-from .flops import FlopCounter, cabs2, cadd, cmul, csub, flop_scope, radd, rcmul, rdiv, rmul, rsub
+from .flops import FlopCounter, cdotc, cdotu, charge, cost, flop_scope, rdiv, rsub
 from .modulation import qpsk_slice
 
 
@@ -117,8 +118,8 @@ def _check_instance(hp, x, alpha: float):
     samples; return the equivalent channel and the samples as arrays."""
     a = np.asarray((build_equivalent(hp) if isinstance(hp, ChannelMatrix) else hp).array)
     xv = _as_array(x)
-    if a.ndim != 2 or a.shape[0] % 2 or a.shape[1] % 2 or a.shape[1] == 0:
-        raise InvalidDimensions(f"equivalent channel must be 2N x 2M, got {a.shape}")
+    if a.ndim != 2 or a.shape[0] % 2 or a.shape[1] % 2 or 0 in a.shape:
+        raise InvalidDimensions(f"equivalent channel must be 2N x 2M with N, M >= 1, got {a.shape}")
     if xv.ndim != 1 or xv.size != a.shape[0]:
         raise InvalidDimensions(f"received vector length {xv.size} does not match 2N={a.shape[0]}")
     _check_alpha(alpha)
@@ -156,15 +157,17 @@ def matched_filter(hp, x) -> tuple:
         raise InvalidDimensions(f"received vector length {len(xv)} does not match 2N={2 * g.shape[0]}")
     rows = entries(g)
     xs = entries(xv)
+    n, two_m = g.shape[:2]
     out = []
-    for k in range(g.shape[1]):
-        add_partner = csub if k % 2 else cadd
-        acc = cmul(rows[0][k].conjugate(), xs[0])
+    for k in range(two_m):
+        add_partner = operator.isub if k % 2 else operator.iadd
+        acc = rows[0][k].conjugate() * xs[0]
         for r, row in enumerate(rows):
             if r:
-                acc = cadd(acc, cmul(row[k].conjugate(), xs[2 * r]))
-            acc = add_partner(acc, cmul(row[k ^ 1], xs[2 * r + 1]))
+                acc += row[k].conjugate() * xs[2 * r]
+            acc = add_partner(acc, row[k ^ 1] * xs[2 * r + 1])
         out.append(acc)
+    charge(*cost(cmul=2 * n * two_m, cadd=(2 * n - 1) * two_m))
     return tuple(out)
 
 
@@ -186,22 +189,37 @@ def init_gram(hp, alpha: float) -> StructuredHermitianBlockMatrix:
     b = entries(g[:, 1::2])
     diag = []
     for i in range(m):
-        acc = radd(cabs2(a[0][i]), cabs2(b[0][i]))
+        acc = _norm2(a[0][i], b[0][i])
         for r in range(1, n):
-            acc = radd(acc, radd(cabs2(a[r][i]), cabs2(b[r][i])))
-        diag.append(radd(acc, alpha))
+            acc += _norm2(a[r][i], b[r][i])
+        diag.append(acc + alpha)
     upper = []
     for i in range(m):
         for j in range(i + 1, m):
             acc1 = acc2 = None
             for r in range(n):
-                ai, bi, aj, bj = a[r][i], b[r][i], a[r][j], b[r][j]
-                t1 = cadd(cmul(ai.conjugate(), aj), cmul(bi, bj.conjugate()))
-                t2 = csub(cmul(bi.conjugate(), aj), cmul(ai, bj.conjugate()))
-                acc1 = t1 if acc1 is None else cadd(acc1, t1)
-                acc2 = t2 if acc2 is None else cadd(acc2, t2)
+                ai, bi, aj, bjc = a[r][i], b[r][i], a[r][j], b[r][j].conjugate()
+                t1 = ai.conjugate() * aj + bi * bjc
+                t2 = bi.conjugate() * aj - ai * bjc
+                if acc1 is None:
+                    acc1, acc2 = t1, t2
+                else:
+                    acc1 += t1
+                    acc2 += t2
             upper.append(AlamoutiBlock(acc1, acc2))
+    # per diagonal scalar 2N squared magnitudes and 2N real adds (alpha
+    # included); per off-diagonal block 4N complex mults, 2N adds inside
+    # the terms and 2(N - 1) to accumulate them
+    blocks = len(upper)
+    charge(*cost(cabs2=2 * n * m, radd=2 * n * m))
+    charge(*cost(cmul=4 * n * blocks, cadd=(4 * n - 2) * blocks))
     return StructuredHermitianBlockMatrix(m, tuple(diag), tuple(upper))
+
+
+def _norm2(x1, x2):
+    """|x1|^2 + |x2|^2, the sum of two `cabs2`; uncounted, as its callers
+    charge their loops."""
+    return (x1.real * x1.real + x1.imag * x1.imag) + (x2.real * x2.real + x2.imag * x2.imag)
 
 
 def _pivot_guard(value, scale, what):
@@ -256,25 +274,19 @@ def init_covariance(rbar: StructuredHermitianBlockMatrix) -> StructuredHermitian
         upsilon = rbar.diag[k]
         u = sbm_matvec(q, v)
         # quadratic form over the first expanded column of v and Q v
-        beta = cmul(v[0].a1.conjugate(), u[0].a1)
-        beta = cadd(beta, cmul(v[0].a2.conjugate(), u[0].a2))
-        for j in range(1, k):
-            beta = cadd(beta, cmul(v[j].a1.conjugate(), u[j].a1))
-            beta = cadd(beta, cmul(v[j].a2.conjugate(), u[j].a2))
+        beta = cdotc([e for vj in v for e in vj], [e for uj in u for e in uj])
         _real_guard(beta)
         denom = rsub(upsilon, beta.real)
         _pivot_guard(denom, scale, "covariance recursion")
         omega = rdiv(1.0, denom)
         w = [ab_scale_real(-omega, uj) for uj in u]
-        new_diag = []
-        for i in range(k):
-            grow = rmul(omega, radd(cabs2(u[i].a1), cabs2(u[i].a2)))
-            new_diag.append(radd(q.diag[i], grow))
+        new_diag = [d + omega * _norm2(*ui) for d, ui in zip(q.diag, u)]
         new_diag.append(omega)
+        charge(*cost(cabs2=2 * k, radd=2 * k, rmul=k))
         new_upper = []
-        for i in range(k):
-            for j in range(i + 1, k):
-                new_upper.append(ab_sub(q.block(i, j), ab_mul_adjoint(u[i], w[j])))
+        for i, row in enumerate(q.upper_rows()):
+            for j, qij in enumerate(row, i + 1):
+                new_upper.append(ab_sub(qij, ab_mul_adjoint(u[i], w[j])))
             new_upper.append(w[i])
         q = StructuredHermitianBlockMatrix(mm, tuple(new_diag), tuple(new_upper))
     return q
@@ -371,12 +383,13 @@ def estimate_layer(ws: DetectorWorkspace):
     """
     m = ws.m
     omega = ws.Qbar.diag[m - 1]
-    y1 = rcmul(omega, ws.z[2 * m - 2])
-    y2 = rcmul(omega, ws.z[2 * m - 1])
+    y1 = omega * ws.z[2 * m - 2]
+    y2 = omega * ws.z[2 * m - 1]
     for j in range(m - 1):
         c1, c2 = ab_adjoint_mul(ws.Qbar.block(j, m - 1), AlamoutiBlock(ws.z[2 * j], ws.z[2 * j + 1]))
-        y1 = cadd(y1, c1)
-        y2 = cadd(y2, c2)
+        y1 += c1
+        y2 += c2
+    charge(*cost(rcmul=2, cadd=2 * (m - 1)))
     return y1, y2
 
 
@@ -392,16 +405,16 @@ def deflate_covariance(ws: DetectorWorkspace) -> StructuredHermitianBlockMatrix:
     omega = q.diag[m - 1]
     _pivot_guard(omega, sum(q.diag) / m, "covariance deflation")
     inv_omega = rdiv(1.0, omega)
-    w = [q.block(j, m - 1) for j in range(m - 1)]
+    # row i ends in block (i, m - 1): w is the last block column
+    rows = q.upper_rows()[:-1]
+    w = [row[-1] for row in rows]
     wt = [ab_scale_real(inv_omega, wj) for wj in w]
-    diag = []
-    for i in range(m - 1):
-        drop = rmul(inv_omega, radd(cabs2(w[i].a1), cabs2(w[i].a2)))
-        diag.append(rsub(q.diag[i], drop))
+    diag = [d - inv_omega * _norm2(*wi) for d, wi in zip(q.diag, w)]
+    charge(*cost(cabs2=2 * (m - 1), radd=2 * (m - 1), rmul=m - 1))
     upper = []
-    for i in range(m - 1):
-        for j in range(i + 1, m - 1):
-            upper.append(ab_sub(q.block(i, j), ab_mul_adjoint(wt[i], w[j])))
+    for i, row in enumerate(rows):
+        for j, qij in enumerate(row[:-1], i + 1):
+            upper.append(ab_sub(qij, ab_mul_adjoint(wt[i], w[j])))
     return StructuredHermitianBlockMatrix(m - 1, tuple(diag), tuple(upper))
 
 
@@ -418,8 +431,9 @@ def cancel_layer(ws: DetectorWorkspace, s1: complex, s2: complex) -> DetectorWor
     z = []
     for j in range(m - 1):
         t1, t2 = ab_mul(ws.Rbar.block(j, m - 1), AlamoutiBlock(s1, s2))
-        z.append(csub(ws.z[2 * j], t1))
-        z.append(csub(ws.z[2 * j + 1], t2))
+        z.append(ws.z[2 * j] - t1)
+        z.append(ws.z[2 * j + 1] - t2)
+    charge(*cost(cadd=2 * (m - 1)))
     return DetectorWorkspace(m - 1, sbm_leading(ws.Rbar, m - 1), q_next, tuple(z), ws.p)
 
 
@@ -517,12 +531,7 @@ def detect_linear_mmse(hp, x, alpha: float) -> DetectionResult:
         g = gram_plus_alpha(cols, alpha)
         q = gj_inverse_hpd(g)
         z = adjoint_apply(cols, xv.tolist())
-        soft = []
-        for k in range(n_sym):
-            acc = cmul(q[k][0], z[0])
-            for j in range(1, n_sym):
-                acc = cadd(acc, cmul(q[k][j], z[j]))
-            soft.append(acc)
+        soft = [cdotu(qk, z) for qk in q]
         decisions = [qpsk_slice(y) for y in soft]
     return DetectionResult(
         np.array(decisions, dtype=np.complex128),
@@ -569,16 +578,13 @@ def _dense_sic(hp, x, alpha: float, groupwise: bool) -> DetectionResult:
             else:
                 pos = min(range(1, len(active), 2), key=lambda i: q[i][i].real)
             z = adjoint_apply(col_list, residual)
-            y = cmul(q[pos][0], z[0])
-            for j in range(1, len(active)):
-                y = cadd(y, cmul(q[pos][j], z[j]))
+            y = cdotu(q[pos], z)
             sym = active[pos]
             s_hat = qpsk_slice(y)
             decisions[sym] = s_hat
             soft[sym] = y
-            col = cols[sym]
-            for r in range(len(residual)):
-                residual[r] = csub(residual[r], cmul(col[r], s_hat))
+            residual = [t - c * s_hat for t, c in zip(residual, cols[sym])]
+            charge(*cost(cmul=len(residual), cadd=len(residual)))
             if not groupwise:
                 order.append(sym)
             elif pos % 2:

@@ -8,13 +8,19 @@ charged as one multiplication.  Negation and conjugation are free, as are
 comparisons, copies and permutations.  Tolerance checks and other
 bookkeeping are plain Python arithmetic and do not accrue.
 
-Every piece of detector arithmetic in this package funnels through the
-primitives below, so any algorithm composed from them is counted
-automatically; there are no hand-maintained cost formulas on the counting
-side.  Counting is scoped and thread-confined: arithmetic accrues to the
+Every piece of detector arithmetic in this package is charged here, per
+kernel loop rather than per operation.  A loop does its arithmetic with
+plain operators and then makes one `charge`, written as the numbers of
+primitive operations the loop performs (`cost(cmul=n, cadd=n - 1)` for a
+dot product of length n), so a charge reads as the per-element primitives
+it stands for and no total is typed by hand.  The row helpers `cdotc` and
+`cdotu` are such loops.  The per-element primitives (`cmul`, `cadd`, ...)
+remain for single operations and define the convention; a loop's charge
+equals, count for count, what the same loop written with them would
+charge.  Counting is scoped and thread-confined: arithmetic accrues to the
 innermost `flop_scope` counter installed on the current thread, and a
 nested scope rolls its delta up into the enclosing scope on exit.  With no
-scope active the primitives just compute.
+scope active nothing is charged and the arithmetic just computes.
 """
 
 from __future__ import annotations
@@ -84,7 +90,52 @@ def flop_scope(counter: FlopCounter):
 # --- counted primitives -------------------------------------------------
 #
 # The hot path must stay cheap when no scope is active, so each primitive
-# does a single thread-local read and one branch.
+# and each charge does a single thread-local read and one branch.
+
+def cost(cmul=0, cadd=0, rcmul=0, rmul=0, radd=0, rdiv=0, cabs2=0):
+    """Real (mults, adds) of the given numbers of primitive operations.
+
+    A subtraction costs as the addition of its kind (`csub` as `cadd`,
+    `rsub` as `radd`).
+    """
+    mults = 4 * cmul + 2 * rcmul + rmul + rdiv + 2 * cabs2
+    adds = 2 * cmul + 2 * cadd + radd + cabs2
+    return mults, adds
+
+
+def charge(mults, adds):
+    """Charge a whole kernel loop at once; see `cost` for the arguments."""
+    c = _scope.current
+    if c is not None:
+        c.real_mults += mults
+        c.real_adds += adds
+
+
+def cdotc(xs, ys):
+    """Sum of conj(x) y over two rows of n >= 1 entries, left to right:
+    n complex mults + n - 1 complex adds."""
+    pairs = zip(xs, ys)
+    x, y = next(pairs)
+    acc = x.conjugate() * y
+    for x, y in pairs:
+        acc += x.conjugate() * y
+    n = len(xs)
+    charge(*cost(cmul=n, cadd=n - 1))
+    return acc
+
+
+def cdotu(xs, ys):
+    """Sum of x y over two rows of n >= 1 entries, left to right: n
+    complex mults + n - 1 complex adds."""
+    pairs = zip(xs, ys)
+    x, y = next(pairs)
+    acc = x * y
+    for x, y in pairs:
+        acc += x * y
+    n = len(xs)
+    charge(*cost(cmul=n, cadd=n - 1))
+    return acc
+
 
 def cmul(x, y):
     """Complex product: 4 real mults + 2 real adds."""

@@ -20,7 +20,7 @@ from gstbc.alamouti import (
     sbm_to_dense,
 )
 from gstbc.errors import StructureViolation
-from gstbc.flops import FlopCounter, flop_scope
+from gstbc.flops import FlopCounter, cadd, cmul, csub, flop_scope, rcmul
 
 RNG = np.random.default_rng(90210)
 
@@ -170,6 +170,43 @@ def test_sbm_matvec_matches_dense():
         assert np.allclose(flat, d @ v)
 
 
+def _matvec_by_helpers(a, v):
+    # the product as a sum of block-helper terms, each folded in by ab_add
+    out = []
+    for i in range(a.m):
+        acc = None
+        for j in range(a.m):
+            if j == i:
+                term = ab_scale_real(a.diag[i], v[i])
+            elif i < j:
+                term = ab_mul(a.block(i, j), v[j])
+            else:
+                term = ab_adjoint_mul(a.block(j, i), v[j])
+            acc = term if acc is None else ab_add(acc, term)
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_sbm_matvec_equals_helper_sums(m):
+    # one charge for the block sums: bitwise and count for count the fold
+    # of ab_add, on Python numbers and on (B,) array entries
+    arr = RNG.standard_normal((2, m * m, 7)) + 1j * RNG.standard_normal((2, m * m, 7))
+    diag = RNG.uniform(1.0, 2.0, (m, 7))
+    for a1, a2, d in ((arr[0, :, 0].tolist(), arr[1, :, 0].tolist(), diag[:, 0].tolist()), (arr[0], arr[1], diag)):
+        entries = [AlamoutiBlock(x1, x2) for x1, x2 in zip(a1, a2)]
+        a = StructuredHermitianBlockMatrix(m, tuple(d), tuple(entries[m : m + m * (m - 1) // 2]))
+        v = entries[:m]
+        c_kernel, c_helpers = FlopCounter(), FlopCounter()
+        with flop_scope(c_kernel):
+            got = sbm_matvec(a, v)
+        with flop_scope(c_helpers):
+            want = _matvec_by_helpers(a, v)
+        assert c_kernel == c_helpers
+        for g, w in zip(got, want):
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
 def test_sbm_rejects_bad_shapes():
     with pytest.raises(Exception):
         StructuredHermitianBlockMatrix(2, (1.0,), ())  # diag too short
@@ -179,15 +216,39 @@ def test_sbm_rejects_bad_shapes():
         sbm_from_dense(np.eye(5))  # odd size
 
 
+# each block helper written out with the per-element primitives
+PER_ELEMENT = {
+    ab_add: lambda x, y: (cadd(x.a1, y.a1), cadd(x.a2, y.a2)),
+    ab_sub: lambda x, y: (csub(x.a1, y.a1), csub(x.a2, y.a2)),
+    ab_mul: lambda x, y: (
+        csub(cmul(x.a1, y.a1), cmul(x.a2.conjugate(), y.a2)),
+        cadd(cmul(x.a2, y.a1), cmul(x.a1.conjugate(), y.a2)),
+    ),
+    ab_mul_adjoint: lambda x, y: (
+        cadd(cmul(x.a1, y.a1.conjugate()), cmul(x.a2.conjugate(), y.a2)),
+        csub(cmul(x.a2, y.a1.conjugate()), cmul(x.a1.conjugate(), y.a2)),
+    ),
+    ab_adjoint_mul: lambda x, y: (
+        cadd(cmul(x.a1.conjugate(), y.a1), cmul(x.a2.conjugate(), y.a2)),
+        csub(cmul(x.a1, y.a2), cmul(x.a2, y.a1)),
+    ),
+}
+
+
 def test_adjoint_products_equal_composed_forms():
     # x y^H and x^H y without forming the adjoint: bitwise the composed
-    # values at an equal count, on Python numbers and on (B,) arrays
+    # values at an equal count, on Python numbers and on (B,) arrays; and
+    # every helper bitwise its per-element primitives, one charge equal
+    # to theirs
     arr = RNG.standard_normal((4, 200)) + 1j * RNG.standard_normal((4, 200))
     cases = [(random_block(), random_block()) for _ in range(20)]
     cases.append((AlamoutiBlock(arr[0], arr[1]), AlamoutiBlock(arr[2], arr[3])))
     for x, y in cases:
-        for fast, slow in ((ab_mul_adjoint, lambda p, q: ab_mul(p, ab_adjoint(q))),
-                           (ab_adjoint_mul, lambda p, q: ab_mul(ab_adjoint(p), q))):
+        pairs = [(ab_mul_adjoint, lambda p, q: ab_mul(p, ab_adjoint(q))),
+                 (ab_adjoint_mul, lambda p, q: ab_mul(ab_adjoint(p), q)),
+                 (lambda p, q: ab_scale_real(0.75, p), lambda p, q: (rcmul(0.75, p.a1), rcmul(0.75, p.a2)))]
+        pairs += list(PER_ELEMENT.items())
+        for fast, slow in pairs:
             c_fast, c_slow = FlopCounter(), FlopCounter()
             with flop_scope(c_fast):
                 got = fast(x, y)

@@ -126,6 +126,14 @@ def test_every_entry_point_rejects_non_finite_alpha():
                 SCALAR_DETECTORS[name](ChannelMatrix(h[0]), x[0], alpha=alpha)
 
 
+def test_batch_rejects_a_block_without_receive_antennas():
+    h = np.zeros((3, 0, 4), dtype=np.complex128)
+    x = np.zeros((3, 0), dtype=np.complex128)
+    for fn in BATCH_PAIRS.values():
+        with pytest.raises(InvalidDimensions, match="N, M >= 1"):
+            fn(h, x, alpha=0.1)
+
+
 def test_batch_single_instance_shapes():
     rng = np.random.default_rng(46)
     h, _, x = random_batch(rng, 1, 4, 6, 0.1)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gstbc.alamouti import sbm_to_dense
-from gstbc.channel import EquivalentChannel, NoiseSpec, build_equivalent, generate_channel, keyed_generator, transmit
+from gstbc.channel import ChannelMatrix, EquivalentChannel, NoiseSpec, build_equivalent, generate_channel, keyed_generator, transmit
 from gstbc.detectors import (
     SCALAR_DETECTORS,
     DetectorWorkspace,
@@ -179,6 +179,9 @@ def test_input_validation():
         nan_x[1] = complex("nan")
         with pytest.raises(InvalidDimensions):
             det(h, nan_x, alpha=0.1)
+        # no receive antenna: rejected before any row loop reads a first row
+        with pytest.raises(InvalidDimensions, match="N, M >= 1"):
+            det(ChannelMatrix(np.zeros((0, 4))), np.zeros(0), alpha=0.1)
 
 
 def test_flop_counts_are_input_independent():

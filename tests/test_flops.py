@@ -1,12 +1,17 @@
 import threading
 
+import numpy as np
 import pytest
 
 from gstbc.flops import (
     FlopCounter,
     cabs2,
     cadd,
+    cdotc,
+    cdotu,
+    charge,
     cmul,
+    cost,
     csub,
     flop_scope,
     radd,
@@ -48,6 +53,14 @@ def test_primitive_charges():
         with flop_scope(c):
             fn(*args[fn])
         assert (c.real_mults, c.real_adds) == (mults, adds), fn.__name__
+        # a loop's charge names its primitives; a subtraction costs as
+        # the addition of its kind
+        kind = {"csub": "cadd", "rsub": "radd"}.get(fn.__name__, fn.__name__)
+        assert cost(**{kind: 1}) == (mults, adds), fn.__name__
+        c = FlopCounter()
+        with flop_scope(c):
+            charge(*cost(**{kind: 3}))
+        assert (c.real_mults, c.real_adds) == (3 * mults, 3 * adds), fn.__name__
 
 
 def test_primitive_values():
@@ -62,8 +75,48 @@ def test_primitive_values():
 
 
 def test_counts_outside_scope_are_dropped():
-    # primitives still compute without an active scope
+    # primitives, charges and row helpers still compute without an active
+    # scope, and charge no counter, not even the last one installed
+    c = FlopCounter()
+    with flop_scope(c):
+        pass
     assert cmul(1j, 1j) == -1
+    charge(*cost(cmul=5, cadd=4))
+    assert cdotc([1j, 2.0 + 0j], [1j, 1j]) == 1 + 2j
+    assert cdotu([1j, 2.0 + 0j], [1j, 1j]) == -1 + 2j
+    assert c == FlopCounter()
+
+
+def _composed_dot(xs, ys, conjugate):
+    # the per-element loop the row helpers replace
+    acc = None
+    for x, y in zip(xs, ys):
+        term = cmul(x.conjugate() if conjugate else x, y)
+        acc = term if acc is None else cadd(acc, term)
+    return acc
+
+
+def _same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_row_helpers_equal_composed_primitives(n):
+    # bitwise the per-element composition at an exactly equal count, on
+    # Python numbers and on (B,) array entries; signed zeros included
+    rng = np.random.default_rng([7, n])
+    arr = rng.standard_normal((2, n, 5)) + 1j * rng.standard_normal((2, n, 5))
+    arr[:, 0, 0] = -0.0
+    numbers = ([complex(v) for v in arr[0, :, 0]], [complex(v) for v in arr[1, :, 0]])
+    for xs, ys in (numbers, (list(arr[0]), list(arr[1]))):
+        for helper, conjugate in ((cdotc, True), (cdotu, False)):
+            c_row, c_el = FlopCounter(), FlopCounter()
+            with flop_scope(c_row):
+                got = helper(xs, ys)
+            with flop_scope(c_el):
+                want = _composed_dot(xs, ys, conjugate)
+            assert _same_bits(got, want), (helper.__name__, n)
+            assert c_row == c_el, (helper.__name__, n)
 
 
 def test_scope_nesting_accumulates_into_parent():
