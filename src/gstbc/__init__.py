@@ -18,10 +18,8 @@ from .alamouti import (
 )
 from .channel import (
     ChannelMatrix,
-    EquivalentChannel,
     NoiseSpec,
     ReceivedVector,
-    build_equivalent,
     generate_channel,
     keyed_generator,
     transmit,
@@ -68,7 +66,6 @@ __all__ = [
     "ConfigInvalid",
     "DETECTORS",
     "DetectionResult",
-    "EquivalentChannel",
     "FlopCounter",
     "FlopReport",
     "GstbcError",
@@ -89,7 +86,6 @@ __all__ = [
     "ab_dense",
     "ab_from_dense",
     "ab_mul",
-    "build_equivalent",
     "detect_fixed_order",
     "detect_gstbc",
     "detect_linear_mmse",

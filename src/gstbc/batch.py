@@ -1,8 +1,9 @@
 """Detector engines over blocks of instances, for Monte Carlo runs.
 
 All engines take the physical channel `h` of shape (B, N, 2M) and the
-stacked received block `x` of shape (B, 2N), check them as the scalar
-detectors do, and return (B, 2M) decisions and soft values.
+stacked received block `x` of shape (B, 2N), check them with the scalar
+detectors' check (`detectors._check_input`), and return (B, 2M) decisions
+and soft values.
 
 Every engine reads its block through a `PreparedBlock`, which checks the
 block once and computes each front end on first use: the recursion's
@@ -38,7 +39,7 @@ import numpy as np
 
 from . import detectors
 from .channel import ChannelMatrix, equivalent_channel_batch
-from .errors import TIE_REL_TOL, InvalidDimensions, SingularPivot
+from .errors import TIE_REL_TOL, SingularPivot
 from .modulation import qpsk_slice_array
 
 # bytes of gains per chunk of instances when a block's front ends are
@@ -53,17 +54,6 @@ CHUNK_BYTES = 128 * 1024
 class BatchDetection:
     decisions: np.ndarray  # (B, 2M) hard constellation points
     soft: np.ndarray  # (B, 2M) pre-slicing estimates
-
-
-def _check_block(h, x, alpha):
-    """The checks of the scalar detectors, over a block."""
-    if h.ndim != 3 or h.shape[2] % 2 or 0 in h.shape[1:]:
-        raise InvalidDimensions(f"channel block must be B x N x 2M with N, M >= 1, got {h.shape}")
-    if x.shape != (h.shape[0], 2 * h.shape[1]):
-        raise InvalidDimensions(f"received block must be B x 2N, got {x.shape} for channels {h.shape}")
-    detectors._check_alpha(alpha)
-    if not (np.isfinite(h).all() and np.isfinite(x).all()):
-        raise InvalidDimensions("channel gains and received samples must be finite")
 
 
 def _chunk_len(h) -> int:
@@ -85,7 +75,7 @@ class PreparedBlock:
     """
 
     def __init__(self, h, x, alpha):
-        _check_block(h, x, alpha)
+        detectors._check_input(h, x, alpha, 1)
         self.h = h
         self.x = x
         self.alpha = alpha

@@ -9,10 +9,13 @@ turns the two-slot block system into the linear model
     x' = H' s' + n'
 
 where s' = (s_11, s_12, ..., s_M1, s_M2) and H' is the 2N x 2M equivalent
-channel assembled by `build_equivalent`.  Each receive antenna contributes
-a row pair (h_1, ..., h_2M) and (conj(h_2), -conj(h_1), ..., conj(h_2M),
+channel that `equivalent_channel_batch` builds from the gains (over any
+leading axes).  Each receive antenna contributes a row pair
+(h_1, ..., h_2M) and (conj(h_2), -conj(h_1), ..., conj(h_2M),
 -conj(h_2M-1)), which makes every column pair of H' orthogonal with equal
 norms.  That orthogonality is what the block-compressed detectors exploit.
+Since the gains fix H', the detectors take only the gains
+(`ChannelMatrix`), and the recursion never builds H' at all.
 
 The channel use is written once, in `receive`, over any leading axes:
 `transmit` runs it on one instance and the sweep's draw on a block.
@@ -32,12 +35,10 @@ from .errors import InvalidDimensions
 
 __all__ = [
     "ChannelMatrix",
-    "EquivalentChannel",
     "ReceivedVector",
     "NoiseSpec",
     "keyed_generator",
     "generate_channel",
-    "build_equivalent",
     "equivalent_channel_batch",
     "second_slot",
     "receive",
@@ -64,21 +65,6 @@ class ChannelMatrix:
     @property
     def layers(self) -> int:
         return self.gains.shape[1] // 2
-
-
-@dataclass(frozen=True)
-class EquivalentChannel:
-    """2N x 2M equivalent channel acting on the stacked symbol vector."""
-
-    array: np.ndarray
-
-    @property
-    def n_rx(self) -> int:
-        return self.array.shape[0] // 2
-
-    @property
-    def layers(self) -> int:
-        return self.array.shape[1] // 2
 
 
 @dataclass(frozen=True)
@@ -124,14 +110,6 @@ def equivalent_channel_batch(h: np.ndarray) -> np.ndarray:
     return _equivalent_rows(h, out)
 
 
-def build_equivalent(h: ChannelMatrix) -> EquivalentChannel:
-    """Assemble the 2N x 2M equivalent channel from the physical gains."""
-    g = np.asarray(h.gains)
-    if g.ndim != 2 or g.shape[1] % 2 != 0 or g.shape[1] == 0:
-        raise InvalidDimensions(f"channel gains must be N x 2M, got shape {g.shape}")
-    return EquivalentChannel(equivalent_channel_batch(g))
-
-
 def second_slot(s: np.ndarray) -> np.ndarray:
     """Second-slot symbols of every antenna pair, (..., 2M) to (..., 2M):
     layer m sends (-conj(s_m2), conj(s_m1))."""
@@ -165,8 +143,8 @@ def transmit(h: ChannelMatrix, s, noise: NoiseSpec) -> ReceivedVector:
     sv = np.asarray(s, dtype=np.complex128)
     if sv.ndim != 1 or sv.size != g.shape[1]:
         raise InvalidDimensions(f"symbol vector length {sv.size} does not match 2M={g.shape[1]}")
-    if noise.sigma_n2 < 0:
-        raise InvalidDimensions(f"noise variance must be >= 0, got {noise.sigma_n2}")
+    if not 0 <= noise.sigma_n2 < np.inf:
+        raise InvalidDimensions(f"noise variance must be finite and >= 0, got {noise.sigma_n2}")
     w = np.zeros((g.shape[0], 2), dtype=np.complex128)
     if noise.sigma_n2 > 0:
         rng = keyed_generator(noise.seed)

@@ -18,6 +18,11 @@ one kernel, `_dense_sic`, and differ only in which symbol goes next.  The
 dense references use the counted helpers in `gstbc.dense`, so every
 detector reports its flop tally.  Every detector slices to QPSK.
 
+Every detector takes the physical gains (a `ChannelMatrix`, N x 2M) and
+the stacked samples.  `_check_input` checks them, and checks a block for
+`gstbc.batch` the same way; the dense references build the equivalent
+channel from the gains with `channel.equivalent_channel_batch`.
+
 The recursion is written once and reads only the physical gains, never a
 built equivalent channel.  Each compressed entry is a Python number for
 one instance, or a (B,) array for a block of B instances whose gains are
@@ -51,10 +56,10 @@ from .alamouti import (
     sbm_matvec,
     sbm_swap_blocks,
 )
-from .channel import ChannelMatrix, EquivalentChannel, ReceivedVector, build_equivalent, equivalent_channel_batch
+from .channel import ReceivedVector, equivalent_channel_batch
 from .dense import adjoint_apply, gj_inverse_hpd, gram_plus_alpha
 from .errors import IMAG_REL_TOL, PIVOT_REL_TOL, TIE_REL_TOL
-from .errors import InvalidDimensions, NonPositiveAlpha, SingularPivot, StructureViolation
+from .errors import InvalidDimensions, NonPositiveAlpha, SingularPivot
 from .flops import FlopCounter, cdotc, cdotu, charge, cost, flop_scope, rdiv, rsub
 from .modulation import qpsk_slice
 
@@ -104,7 +109,7 @@ class DetectionResult:
 
 
 def _as_array(x):
-    return x.entries if isinstance(x, ReceivedVector) else np.asarray(x)
+    return np.asarray(x.entries if isinstance(x, ReceivedVector) else x)
 
 
 def _check_alpha(alpha) -> None:
@@ -113,45 +118,42 @@ def _check_alpha(alpha) -> None:
         raise NonPositiveAlpha(f"alpha must be > 0 and finite, got {alpha}")
 
 
-def _check_instance(hp, x, alpha: float):
-    """Check the gains, or the already-stacked equivalent form, and the
-    samples; return the equivalent channel and the samples as arrays."""
-    a = np.asarray((build_equivalent(hp) if isinstance(hp, ChannelMatrix) else hp).array)
-    xv = _as_array(x)
-    if a.ndim != 2 or a.shape[0] % 2 or a.shape[1] % 2 or 0 in a.shape:
-        raise InvalidDimensions(f"equivalent channel must be 2N x 2M with N, M >= 1, got {a.shape}")
-    if xv.ndim != 1 or xv.size != a.shape[0]:
-        raise InvalidDimensions(f"received vector length {xv.size} does not match 2N={a.shape[0]}")
+def _check_input(g, x, alpha, lead: int) -> None:
+    """The input checks of both routes, over `lead` leading instance axes
+    (0 for one instance, 1 for a block): gains (..., N, 2M) with N, M >= 1,
+    samples (..., 2N), a positive finite alpha, and finite entries."""
+    if g.ndim != lead + 2 or g.shape[-1] % 2 or 0 in g.shape[lead:]:
+        raise InvalidDimensions(f"channel gains must be {'B x ' * lead}N x 2M with N, M >= 1, got {g.shape}")
+    if x.shape != g.shape[:lead] + (2 * g.shape[lead],):
+        raise InvalidDimensions(f"received samples must be {'B x ' * lead}2N, got {x.shape} for gains {g.shape}")
     _check_alpha(alpha)
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(xv))):
+    if not (np.isfinite(g).all() and np.isfinite(x).all()):
         raise InvalidDimensions("channel gains and received samples must be finite")
-    return a, xv
 
 
-def _front_end(hp):
+def _check_instance(h, x, alpha: float):
+    """Check one instance; return its gains and samples as arrays."""
+    g, xv = np.asarray(h.gains), _as_array(x)
+    _check_input(g, xv, alpha, 0)
+    return g, xv
+
+
+def _front_end(h):
     """The gains (N x 2M) and their conversion to entries: Python numbers
     for one instance, (B,) arrays for a batch-last block (N x 2M x B,
-    samples 2N x B).  An equivalent channel gives its even rows once its
-    odd rows are checked to be exactly their Alamouti partners."""
-    if isinstance(hp, EquivalentChannel):
-        a = np.asarray(hp.array)
-        lead = np.moveaxis(a, -1, 0) if a.ndim == 3 else a
-        if not np.array_equal(equivalent_channel_batch(lead[..., 0::2, :]), lead):
-            raise StructureViolation("equivalent channel rows are not the Alamouti pairs of its even rows")
-        g = a[0::2]
-    else:
-        g = np.asarray(hp.gains)
+    samples 2N x B)."""
+    g = np.asarray(h.gains)
     return g, (np.asarray if g.ndim == 3 else np.ndarray.tolist)
 
 
-def matched_filter(hp, x) -> tuple:
+def matched_filter(h, x) -> tuple:
     """Return H'^H x' as a tuple of 2M complex values.
 
     From the gains h, over antennas r in the equivalent rows' order:
     symbol 2i sums conj(h[r,2i]) x[2r] + h[r,2i+1] x[2r+1], and symbol
     2i+1 sums conj(h[r,2i+1]) x[2r] - h[r,2i] x[2r+1].
     """
-    g, entries = _front_end(hp)
+    g, entries = _front_end(h)
     xv = _as_array(x)
     if len(xv) != 2 * g.shape[0]:
         raise InvalidDimensions(f"received vector length {len(xv)} does not match 2N={2 * g.shape[0]}")
@@ -171,7 +173,7 @@ def matched_filter(hp, x) -> tuple:
     return tuple(out)
 
 
-def init_gram(hp, alpha: float) -> StructuredHermitianBlockMatrix:
+def init_gram(h, alpha: float) -> StructuredHermitianBlockMatrix:
     """Assemble H'^H H' + alpha I in compressed form.
 
     The column-pair orthogonality of the equivalent channel makes every
@@ -180,7 +182,7 @@ def init_gram(hp, alpha: float) -> StructuredHermitianBlockMatrix:
     block 4N complex mults, per diagonal scalar 4N real mults.
     """
     _check_alpha(alpha)
-    g, entries = _front_end(hp)
+    g, entries = _front_end(h)
     m = g.shape[1] // 2
     n = g.shape[0]
     # per receive antenna and layer: a = gain of the first antenna in the
@@ -453,16 +455,16 @@ def _scatter(steps, n_sym):
     return decisions, soft
 
 
-def _start_workspace(hp, x, alpha) -> DetectorWorkspace:
+def _start_workspace(h, x, alpha) -> DetectorWorkspace:
     """The recursion's starting state on checked input: the matched filter,
     the compressed Gram and its grown inverse, every layer in place.  One
     instance, or a block of instances stored batch-last (see `_front_end`)."""
-    m = hp.layers
-    z = matched_filter(hp, x)
-    rbar = init_gram(hp, alpha)
+    m = h.layers
+    z = matched_filter(h, x)
+    rbar = init_gram(h, alpha)
     # over a block the gains are the largest array held;
     # nothing below reads it
-    del hp, x
+    del h, x
     return DetectorWorkspace(m, rbar, init_covariance(rbar), z, tuple(range(m)))
 
 
@@ -492,16 +494,16 @@ def _recurse(ws: DetectorWorkspace, slicer, ordered, record_trace):
     return decisions, soft, tuple(ws.p[::-1]), tuple(trace) if record_trace else None
 
 
-def _detect_recursive(hp, x, alpha, ordered, record_trace):
+def _detect_recursive(h, x, alpha, ordered, record_trace):
     """The group-wise recursion on one checked instance, both halves
     counted in one scope."""
     local = FlopCounter()
     with flop_scope(local):
-        decisions, soft, order, trace = _recurse(_start_workspace(hp, x, alpha), qpsk_slice, ordered, record_trace)
+        decisions, soft, order, trace = _recurse(_start_workspace(h, x, alpha), qpsk_slice, ordered, record_trace)
     return DetectionResult(decisions, soft, order, local, trace)
 
 
-def detect_gstbc(hp, x, alpha: float, record_trace: bool = False) -> DetectionResult:
+def detect_gstbc(h, x, alpha: float, record_trace: bool = False) -> DetectionResult:
     """Group-wise MMSE-OSIC detection with optimal layer ordering.
 
     Layers are detected best-first (smallest inverse diagonal), each
@@ -510,20 +512,21 @@ def detect_gstbc(hp, x, alpha: float, record_trace: bool = False) -> DetectionRe
     keeps a per-depth snapshot of the workspace and soft pair for
     verification.
     """
-    _check_instance(hp, x, alpha)
-    return _detect_recursive(hp, x, alpha, True, record_trace)
+    _check_instance(h, x, alpha)
+    return _detect_recursive(h, x, alpha, True, record_trace)
 
 
-def detect_fixed_order(hp, x, alpha: float, record_trace: bool = False) -> DetectionResult:
+def detect_fixed_order(h, x, alpha: float, record_trace: bool = False) -> DetectionResult:
     """Same recursion as `detect_gstbc` with ordering disabled (last block
     first, every step).  Isolates the gain of the ordering rule."""
-    _check_instance(hp, x, alpha)
-    return _detect_recursive(hp, x, alpha, False, record_trace)
+    _check_instance(h, x, alpha)
+    return _detect_recursive(h, x, alpha, False, record_trace)
 
 
-def detect_linear_mmse(hp, x, alpha: float) -> DetectionResult:
+def detect_linear_mmse(h, x, alpha: float) -> DetectionResult:
     """One-shot linear MMSE: y = (H'^H H' + alpha I)^{-1} H'^H x'."""
-    a, xv = _check_instance(hp, x, alpha)
+    gains, xv = _check_instance(h, x, alpha)
+    a = equivalent_channel_batch(gains)
     n_sym = a.shape[1]
     local = FlopCounter()
     with flop_scope(local):
@@ -541,7 +544,7 @@ def detect_linear_mmse(hp, x, alpha: float) -> DetectionResult:
     )
 
 
-def _dense_sic(hp, x, alpha: float, groupwise: bool) -> DetectionResult:
+def _dense_sic(h, x, alpha: float, groupwise: bool) -> DetectionResult:
     """Dense MMSE-SIC, one symbol per step; the counted twin of
     `batch._masked_sic`.
 
@@ -556,7 +559,8 @@ def _dense_sic(hp, x, alpha: float, groupwise: bool) -> DetectionResult:
     with the last pair (the interchange `permute_workspace` makes), so
     the first symbol, left alone at the end, goes after it.
     """
-    a, xv = _check_instance(hp, x, alpha)
+    gains, xv = _check_instance(h, x, alpha)
+    a = equivalent_channel_batch(gains)
     n_sym = a.shape[1]
     local = FlopCounter()
     with flop_scope(local):
@@ -595,22 +599,22 @@ def _dense_sic(hp, x, alpha: float, groupwise: bool) -> DetectionResult:
     return DetectionResult(decisions, soft, tuple(order), local)
 
 
-def detect_osic_symbolwise(hp, x, alpha: float) -> DetectionResult:
+def detect_osic_symbolwise(h, x, alpha: float) -> DetectionResult:
     """Symbol-wise MMSE-OSIC, brute force; the ordering oracle.  O(M^4) on
     purpose; no block structure is used.  Ties go to the lowest symbol
     index: the two symbols of a layer have equal diagonals whenever only
     whole layers have been removed, so without a rule the choice would
     fall to rounding."""
-    return _dense_sic(hp, x, alpha, groupwise=False)
+    return _dense_sic(h, x, alpha, groupwise=False)
 
 
-def detect_sic_groupwise_symbolwise(hp, x, alpha: float) -> DetectionResult:
+def detect_sic_groupwise_symbolwise(h, x, alpha: float) -> DetectionResult:
     """Symbol-wise SIC in the group-wise detection order: layers are
     chosen as in `detect_gstbc`, ties included, and the second symbol of
     each is detected first, then the first from a freshly inverted reduced
     system.  The column-pair orthogonality of the equivalent channel makes
     the decisions match `detect_gstbc` decision for decision."""
-    return _dense_sic(hp, x, alpha, groupwise=True)
+    return _dense_sic(h, x, alpha, groupwise=True)
 
 
 SCALAR_DETECTORS = {

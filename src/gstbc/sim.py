@@ -44,7 +44,7 @@ from .batch import (
     detect_sic_groupwise_batch,
 )
 from .channel import keyed_generator, receive
-from .errors import ConfigInvalid, GstbcError
+from .errors import ConfigInvalid, GstbcError, ParseError
 from .modulation import qpsk_demap, qpsk_modulate
 
 BLOCK_SIZE = 25_000
@@ -264,24 +264,32 @@ def emit_csv(records, path, config: SimConfig | None = None) -> None:
 
 
 def parse_csv(path) -> list:
+    """Records of a CSV written by `emit_csv`; a malformed row raises
+    `ParseError` with its 1-based line number."""
     records = []
+    n_fields = len(_CSV_COLUMNS.split(","))
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#") or line == _CSV_COLUMNS:
                 continue
             parts = line.split(",")
-            records.append(
-                BerRecord(
-                    detector=parts[0],
-                    snr_db=float(parts[1]),
-                    bits=int(parts[2]),
-                    bit_errors=int(parts[3]),
-                    ber=float(parts[4]),
-                    frames=int(parts[5]),
-                    frame_errors=int(parts[6]),
+            if len(parts) != n_fields:
+                raise ParseError(f"expected {n_fields} fields, got {len(parts)}", line=lineno)
+            try:
+                records.append(
+                    BerRecord(
+                        detector=parts[0],
+                        snr_db=float(parts[1]),
+                        bits=int(parts[2]),
+                        bit_errors=int(parts[3]),
+                        ber=float(parts[4]),
+                        frames=int(parts[5]),
+                        frame_errors=int(parts[6]),
+                    )
                 )
-            )
+            except ValueError as err:
+                raise ParseError(f"bad number: {err}", line=lineno) from None
     return records
 
 
@@ -290,8 +298,11 @@ def snr_at_ber(records, detector: str, target: float):
 
     Interpolates snr against log10(ber) between the bracketing points.
     Zero-error points cannot be placed on the log scale and act as
-    "below target".  Returns None when the curve never crosses.
+    "below target".  Returns None when the curve never crosses.  The
+    target must lie in (0, 1).
     """
+    if not 0 < target < 1:
+        raise ConfigInvalid(f"target BER must be in (0, 1), got {target}")
     pts = sorted(
         ((r.snr_db, r.ber) for r in records if r.detector == detector),
         key=lambda p: p[0],

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+import gstbc
 from gstbc.channel import (
     ChannelMatrix,
     NoiseSpec,
-    build_equivalent,
+    equivalent_channel_batch,
     generate_channel,
     keyed_generator,
     receive,
@@ -59,10 +60,10 @@ def equivalent_oracle(g: np.ndarray) -> np.ndarray:
     return out
 
 
-def test_build_equivalent_matches_oracle():
+def test_equivalent_channel_matches_oracle():
     for seed in range(5):
         h = generate_channel(3, 2, seed=seed)
-        hp = np.asarray(build_equivalent(h).array)
+        hp = equivalent_channel_batch(np.asarray(h.gains))
         assert np.array_equal(hp, equivalent_oracle(np.asarray(h.gains)))
 
 
@@ -70,7 +71,7 @@ def test_equivalent_column_pairs_orthogonal_equal_norm():
     # the structure everything downstream depends on: within a layer the
     # two equivalent columns are orthogonal and share their norm
     for seed in range(10):
-        hp = np.asarray(build_equivalent(generate_channel(5, 3, seed=seed)).array)
+        hp = equivalent_channel_batch(np.asarray(generate_channel(5, 3, seed=seed).gains))
         for i in range(3):
             c1, c2 = hp[:, 2 * i], hp[:, 2 * i + 1]
             assert abs(np.vdot(c1, c2)) < 1e-12
@@ -85,7 +86,7 @@ def test_transmit_noiseless_equals_equivalent_model():
         bits = keyed_generator(seed, 77).integers(0, 2, size=12)
         s = qpsk_modulate(bits)
         x = np.asarray(transmit(h, s, NoiseSpec(sigma_n2=0.0)).entries)
-        hp = np.asarray(build_equivalent(h).array)
+        hp = equivalent_channel_batch(np.asarray(h.gains))
         assert np.allclose(x, hp @ np.asarray(s), atol=1e-14)
 
 
@@ -111,6 +112,19 @@ def test_transmit_validates_symbol_length():
     h = generate_channel(2, 2, seed=0)
     with pytest.raises(InvalidDimensions):
         transmit(h, qpsk_modulate([0, 1]), NoiseSpec(sigma_n2=0.0))
+
+
+def test_transmit_rejects_a_bad_noise_variance():
+    # NaN compares false both ways, so it must not pass as noiseless
+    h = generate_channel(2, 2, seed=0)
+    s = qpsk_modulate([0, 1, 1, 0, 0, 0, 1, 1])
+    for sigma_n2 in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(InvalidDimensions, match="finite and >= 0"):
+            transmit(h, s, NoiseSpec(sigma_n2=sigma_n2))
+
+
+def test_package_exports_resolve():
+    assert [name for name in gstbc.__all__ if not hasattr(gstbc, name)] == []
 
 
 def test_transmit_is_one_row_of_the_block_channel_use():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gstbc.alamouti import sbm_to_dense
-from gstbc.channel import ChannelMatrix, EquivalentChannel, NoiseSpec, build_equivalent, generate_channel, keyed_generator, transmit
+from gstbc.channel import ChannelMatrix, NoiseSpec, equivalent_channel_batch, generate_channel, keyed_generator, transmit
 from gstbc.detectors import (
     SCALAR_DETECTORS,
     DetectorWorkspace,
@@ -18,7 +18,7 @@ from gstbc.detectors import (
     matched_filter,
     permute_workspace,
 )
-from gstbc.errors import InvalidDimensions, NonPositiveAlpha, StructureViolation
+from gstbc.errors import InvalidDimensions, NonPositiveAlpha
 from gstbc.modulation import qpsk_modulate
 
 
@@ -34,7 +34,7 @@ def test_matched_filter_matches_numpy():
     rng = np.random.default_rng(21)
     for _ in range(10):
         h, _, x = random_instance(rng, 3, 4)
-        hp = np.asarray(build_equivalent(h).array)
+        hp = equivalent_channel_batch(np.asarray(h.gains))
         got = np.array(matched_filter(h, x))
         assert np.allclose(got, hp.conj().T @ np.asarray(x.entries), atol=1e-12)
 
@@ -45,7 +45,7 @@ def test_init_gram_matches_dense_oracle():
         layers = int(rng.integers(1, 5))
         n_rx = int(rng.integers(layers, 7))
         h, _, _ = random_instance(rng, layers, n_rx)
-        hp = np.asarray(build_equivalent(h).array)
+        hp = equivalent_channel_batch(np.asarray(h.gains))
         alpha = float(rng.uniform(0.01, 1.0))
         got = sbm_to_dense(init_gram(h, alpha))
         want = hp.conj().T @ hp + alpha * np.eye(2 * layers)
@@ -165,20 +165,36 @@ def test_trace_snapshots_cover_every_depth():
     assert detect_gstbc(h, x, alpha=0.1).trace is None
 
 
+def _poisoned(a, at, value):
+    out = a.copy()
+    out[at] = value
+    return out
+
+
 def test_input_validation():
+    # one input contract: every detector raises the same error type for
+    # each malformed input (the batch engines too, see
+    # test_every_entry_point_rejects_malformed_input)
     rng = np.random.default_rng(31)
     h, _, x = random_instance(rng, 2, 2)
+    g, xv = np.asarray(h.gains), np.asarray(x.entries)
+    cases = [
+        (g[0], xv, 0.1, InvalidDimensions),  # no antenna axis
+        (g[None], xv, 0.1, InvalidDimensions),  # a block axis
+        (g[:, :3], xv, 0.1, InvalidDimensions),  # odd column count
+        (g[:0], xv[:0], 0.1, InvalidDimensions),  # N = 0
+        (g[:, :0], xv, 0.1, InvalidDimensions),  # M = 0
+        (g, np.zeros(5, dtype=np.complex128), 0.1, InvalidDimensions),
+        (g, xv[None], 0.1, InvalidDimensions),
+        (_poisoned(g, (1, 2), np.nan), xv, 0.1, InvalidDimensions),
+        (_poisoned(g, (0, 3), np.inf), xv, 0.1, InvalidDimensions),
+        (g, _poisoned(xv, 1, complex("nan")), 0.1, InvalidDimensions),
+        (g, _poisoned(xv, 2, -np.inf), 0.1, InvalidDimensions),
+    ] + [(g, x, alpha, NonPositiveAlpha) for alpha in (0.0, -1.0, np.nan, np.inf)]
     for det in SCALAR_DETECTORS.values():
-        with pytest.raises(NonPositiveAlpha):
-            det(h, x, alpha=0.0)
-        with pytest.raises(NonPositiveAlpha):
-            det(h, x, alpha=-1.0)
-        with pytest.raises(InvalidDimensions):
-            det(h, np.zeros(5, dtype=np.complex128), alpha=0.1)
-        nan_x = np.asarray(x.entries).copy()
-        nan_x[1] = complex("nan")
-        with pytest.raises(InvalidDimensions):
-            det(h, nan_x, alpha=0.1)
+        for gains, samples, alpha, error in cases:
+            with pytest.raises(error):
+                det(ChannelMatrix(gains), samples, alpha=alpha)
         # no receive antenna: rejected before any row loop reads a first row
         with pytest.raises(InvalidDimensions, match="N, M >= 1"):
             det(ChannelMatrix(np.zeros((0, 4))), np.zeros(0), alpha=0.1)
@@ -201,23 +217,3 @@ def test_ordering_is_free():
     a = detect_gstbc(h, x, alpha=0.1)
     b = detect_fixed_order(h, x, alpha=0.1)
     assert (a.flops.real_mults, a.flops.real_adds) == (b.flops.real_mults, b.flops.real_adds)
-
-
-def test_recursion_rejects_unstructured_equivalent_channel():
-    # the recursion reads only the even rows, so odd rows that are not
-    # their Alamouti partners would give a silently wrong answer
-    rng = np.random.default_rng(33)
-    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    for det in (detect_gstbc, detect_fixed_order):
-        with pytest.raises(StructureViolation):
-            det(EquivalentChannel(a), x, alpha=0.1)
-    # one flipped sign in an odd row of a true equivalent channel
-    h, _, xs = random_instance(rng, 2, 2)
-    hp = np.asarray(build_equivalent(h).array).copy()
-    hp[3, 1] = -hp[3, 1]
-    with pytest.raises(StructureViolation):
-        detect_gstbc(EquivalentChannel(hp), xs, alpha=0.1)
-    # the dense detectors take any 2N x 2M input
-    want = np.linalg.solve(np.conj(a).T @ a + 0.1 * np.eye(4), np.conj(a).T @ x)
-    assert np.allclose(detect_linear_mmse(EquivalentChannel(a), x, alpha=0.1).soft, want)

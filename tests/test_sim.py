@@ -7,7 +7,7 @@ import pytest
 import gstbc.batch as batch
 import gstbc.sim as sim
 from gstbc.channel import keyed_generator, receive
-from gstbc.errors import ConfigInvalid, SingularPivot
+from gstbc.errors import ConfigInvalid, ParseError, SingularPivot
 from gstbc.modulation import qpsk_modulate
 from gstbc.sim import (
     BerRecord,
@@ -221,6 +221,17 @@ def test_csv_roundtrip_empty(tmp_path):
     assert parse_csv(path) == []
 
 
+def test_parse_csv_names_the_line_of_a_malformed_row(tmp_path):
+    path = tmp_path / "bad.csv"
+    emit_csv([BerRecord("proposed", 0.0, 8, 1, 0.125, 2, 1)], path)
+    good = path.read_text()
+    for row, what in (("proposed,2.0,8,1\n", "expected 7 fields"), ("proposed,2.0,8,x,0.125,2,1\n", "bad number")):
+        path.write_text(good + row)
+        with pytest.raises(ParseError, match=what) as err:
+            parse_csv(path)
+        assert err.value.line == good.count("\n") + 1
+
+
 def synthetic_records():
     mk = lambda det, snr, ber: BerRecord(det, snr, 10_000, int(ber * 10_000), ber, 2500, 0)
     return [
@@ -242,6 +253,10 @@ def test_snr_at_ber_log_interpolation():
     assert snr_at_ber(recs, "b", 1e-5) is None
     assert snr_at_ber(recs, "a", 0.5) is None
     assert snr_at_ber(recs, "nope", 1e-3) is None
+    # a BER target must be a probability strictly between 0 and 1
+    for target in (0.0, -1e-3, 1.0, math.nan, math.inf):
+        with pytest.raises(ConfigInvalid, match="target"):
+            snr_at_ber(recs, "a", target)
 
 
 def test_gap_db():
