@@ -15,21 +15,26 @@ compressed form: one real scalar per diagonal block plus one Alamouti
 block per strict-upper off-diagonal position.  The lower triangle is
 implied by Hermitian symmetry and is never stored.
 
-Each arithmetic helper computes with plain operators and makes one charge
-in `gstbc.flops`, at compressed cost: a block-times-block product is 4
-complex mults + 2 complex adds, and a real-scalar-times-block is 4 real
-mults.  Pure data movement (conversion, permutation, slicing) is free.
-A symbol pair (c1, c2) is the first column of `AlamoutiBlock(c1, c2)`,
-so `ab_mul` and `ab_adjoint_mul` with that block give a block, or its
-adjoint, times the pair.  The helpers need only `*`, `+`, `-` and
-`.conjugate()` of their entries, so a block whose entries are (B,) arrays
-holds B instances at once.  No helper negates a product or forms an
-adjoint to multiply by it, so over a block no negated copy is made.
+The recursion runs on four kernels over whole matrices: `sbm_matvec`
+(Q v), `sbm_sub_outer` (Q - x y^H over the upper triangle: the growth
+border and the deflation), `sbm_swap_blocks` and `sbm_leading`.  Each
+works by rows (`upper_rows`; `sbm_from_rows` builds its result),
+conjugates each entry once and makes one charge in `gstbc.flops`, written
+as the primitives it performs: a block product is 4 complex mults + 2
+complex adds, a real scaling 4 real mults, data movement is free.  It
+applies the operations of the per-block helpers (`ab_*`, the tests'
+oracle) to the same operands in the same order, so it returns their
+values bit for bit.  A symbol pair (c1, c2) is the first column of
+`AlamoutiBlock(c1, c2)`.  Entries need only `*`, `+`, `-` and
+`.conjugate()`, so (B,) array entries hold B instances at once.  A kernel
+writes in place only into a product it has just made, never into an
+entry it was given: several detectors start from one state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -48,11 +53,7 @@ class AlamoutiBlock(NamedTuple):
 # the helpers build their results with the plain tuple constructor, which
 # skips the NamedTuple's Python-level __new__
 _new_tuple = tuple.__new__
-
-# the fixed charge of each arithmetic helper
-_ADD = cost(cadd=2)
-_MUL = cost(cmul=4, cadd=2)
-_SCALE = cost(rcmul=2)
+_new_object, _set = object.__new__, object.__setattr__
 
 
 def ab_dense(x: AlamoutiBlock) -> np.ndarray:
@@ -83,13 +84,13 @@ def ab_adjoint(x: AlamoutiBlock) -> AlamoutiBlock:
 
 def ab_add(x: AlamoutiBlock, y: AlamoutiBlock) -> AlamoutiBlock:
     """Block sum: 2 complex adds."""
-    charge(*_ADD)
+    charge(*cost(cadd=2))
     return _new_tuple(AlamoutiBlock, (x.a1 + y.a1, x.a2 + y.a2))
 
 
 def ab_sub(x: AlamoutiBlock, y: AlamoutiBlock) -> AlamoutiBlock:
     """Block difference: 2 complex adds."""
-    charge(*_ADD)
+    charge(*cost(cadd=2))
     return _new_tuple(AlamoutiBlock, (x.a1 - y.a1, x.a2 - y.a2))
 
 
@@ -99,7 +100,7 @@ def ab_mul(x: AlamoutiBlock, y: AlamoutiBlock) -> AlamoutiBlock:
     Closure: the product of two Alamouti blocks is again an Alamouti block
     with c1 = a1 b1 - conj(a2) b2 and c2 = a2 b1 + conj(a1) b2.
     """
-    charge(*_MUL)
+    charge(*cost(cmul=4, cadd=2))
     x1, x2 = x
     y1, y2 = y
     return _new_tuple(AlamoutiBlock, (x1 * y1 - x2.conjugate() * y2, x2 * y1 + x1.conjugate() * y2))
@@ -107,7 +108,7 @@ def ab_mul(x: AlamoutiBlock, y: AlamoutiBlock) -> AlamoutiBlock:
 
 def ab_mul_adjoint(x: AlamoutiBlock, y: AlamoutiBlock) -> AlamoutiBlock:
     """x y^H: the sums of `ab_mul(x, ab_adjoint(y))`, forming no adjoint."""
-    charge(*_MUL)
+    charge(*cost(cmul=4, cadd=2))
     x1, x2 = x
     y1, y2 = y
     y1c = y1.conjugate()
@@ -116,7 +117,7 @@ def ab_mul_adjoint(x: AlamoutiBlock, y: AlamoutiBlock) -> AlamoutiBlock:
 
 def ab_adjoint_mul(x: AlamoutiBlock, y: AlamoutiBlock) -> AlamoutiBlock:
     """x^H y: the sums of `ab_mul(ab_adjoint(x), y)`, forming no adjoint."""
-    charge(*_MUL)
+    charge(*cost(cmul=4, cadd=2))
     x1, x2 = x
     y1, y2 = y
     return _new_tuple(AlamoutiBlock, (x1.conjugate() * y1 + x2.conjugate() * y2, x1 * y2 - x2 * y1))
@@ -124,7 +125,7 @@ def ab_adjoint_mul(x: AlamoutiBlock, y: AlamoutiBlock) -> AlamoutiBlock:
 
 def ab_scale_real(r: float, x: AlamoutiBlock) -> AlamoutiBlock:
     """Real scalar times block: 4 real mults (dedicated cheap path)."""
-    charge(*_SCALE)
+    charge(*cost(rcmul=2))
     return _new_tuple(AlamoutiBlock, (r * x.a1, r * x.a2))
 
 
@@ -152,15 +153,16 @@ class StructuredHermitianBlockMatrix:
         # row-major strict upper triangle
         return i * (2 * self.m - i - 1) // 2 + (j - i - 1)
 
-    def upper_rows(self) -> list:
+    _rows = None  # upper_rows, once built; not a field
+
+    def upper_rows(self) -> tuple:
         """The strict upper triangle as m rows; row i holds (i, i+1), ...,
         (i, m-1)."""
-        rows = []
-        start = 0
-        for i in range(self.m):
-            stop = start + self.m - 1 - i
-            rows.append(self.upper[start:stop])
-            start = stop
+        rows = self._rows
+        if rows is None:
+            starts = [self._uidx(i, i + 1) for i in range(self.m + 1)]
+            rows = tuple(self.upper[a:b] for a, b in zip(starts, starts[1:]))
+            _set(self, "_rows", rows)
         return rows
 
     def block(self, i: int, j: int) -> AlamoutiBlock:
@@ -170,6 +172,17 @@ class StructuredHermitianBlockMatrix:
         if i < j:
             return self.upper[self._uidx(i, j)]
         return ab_adjoint(self.upper[self._uidx(j, i)])
+
+
+def sbm_from_rows(m: int, diag: tuple, rows: tuple) -> StructuredHermitianBlockMatrix:
+    """A kernel's result from its m rows (as `upper_rows` gives them), set
+    without the frozen dataclass's per-field setattr and storage check."""
+    a = _new_object(StructuredHermitianBlockMatrix)
+    _set(a, "m", m)
+    _set(a, "diag", diag)
+    _set(a, "upper", tuple(chain.from_iterable(rows)))
+    _set(a, "_rows", rows)
+    return a
 
 
 def sbm_to_dense(a: StructuredHermitianBlockMatrix) -> np.ndarray:
@@ -232,56 +245,85 @@ def sbm_from_dense(dense, tol: float = 1e-9) -> StructuredHermitianBlockMatrix:
 
 
 def sbm_swap_blocks(a: StructuredHermitianBlockMatrix, i: int, j: int) -> StructuredHermitianBlockMatrix:
-    """Symmetric block-row/column interchange; pure data movement, no flops."""
+    """Symmetric block-row/column interchange; pure data movement, no flops.
+    By rows: only rows up to j change, and only those blocks the swap moves."""
     if i == j:
         return a
-    perm = list(range(a.m))
-    perm[i], perm[j] = perm[j], perm[i]
-    diag = tuple(a.diag[perm[k]] for k in range(a.m))
-
-    def entry(r, c):
-        pr, pc = perm[r], perm[c]
-        if pr < pc:
-            return a.upper[a._uidx(pr, pc)]
-        return ab_adjoint(a.upper[a._uidx(pc, pr)])
-
-    upper = tuple(entry(r, c) for r in range(a.m) for c in range(r + 1, a.m))
-    return StructuredHermitianBlockMatrix(a.m, diag, upper)
+    i, j = min(i, j), max(i, j)
+    rows = a.upper_rows()
+    out = list(rows)
+    for r in range(i):
+        row = list(rows[r])
+        row[i - r - 1], row[j - r - 1] = row[j - r - 1], row[i - r - 1]
+        out[r] = tuple(row)
+    for r in range(i + 1, j):
+        out[r] = rows[r][: j - r - 1] + (ab_adjoint(rows[i][r - i - 1]),) + rows[r][j - r :]
+    out[i] = tuple(ab_adjoint(rows[c][j - c - 1]) for c in range(i + 1, j)) + (ab_adjoint(rows[i][j - i - 1]),) + rows[j]
+    out[j] = rows[i][j - i :]
+    diag = list(a.diag)
+    diag[i], diag[j] = diag[j], diag[i]
+    return sbm_from_rows(a.m, tuple(diag), tuple(out))
 
 
 def sbm_leading(a: StructuredHermitianBlockMatrix, k: int) -> StructuredHermitianBlockMatrix:
     """Leading principal k-block submatrix; pure data movement."""
-    diag = a.diag[:k]
-    upper = tuple(a.upper[a._uidx(i, j)] for i in range(k) for j in range(i + 1, k))
-    return StructuredHermitianBlockMatrix(k, diag, upper)
+    return sbm_from_rows(k, a.diag[:k], tuple(row[: k - i - 1] for i, row in enumerate(a.upper_rows()[:k])))
 
 
 def sbm_matvec(a: StructuredHermitianBlockMatrix, v) -> list:
     """Compressed matrix times block column vector.
 
-    Diagonal blocks use the cheap real-scalar path (4 real mults); off
-    diagonals are full block products, a lower one taken as the adjoint of
-    its stored upper block (`ab_adjoint_mul`).  `v` is a sequence of m
-    AlamoutiBlocks; returns a list of m AlamoutiBlocks.
+    Output block i sums the terms of row i over j in order: stored block
+    (j, i) adjoint times v[j] below the diagonal (`ab_adjoint_mul`), d_i v[i]
+    on it (`ab_scale_real`), block (i, j) times v[j] above (`ab_mul`).  `v`
+    holds m pairs; returns a list of m AlamoutiBlocks.
     """
     m = a.m
     rows = a.upper_rows()
+    conj = [[(x1.conjugate(), x2.conjugate()) for x1, x2 in row] for row in rows]
     out = []
     for i in range(m):
         acc1 = acc2 = None
         for j in range(m):
+            y1, y2 = v[j]
             if j == i:
-                t1, t2 = ab_scale_real(a.diag[i], v[i])
+                d = a.diag[i]
+                t1, t2 = d * y1, d * y2
             elif i < j:
-                t1, t2 = ab_mul(rows[i][j - i - 1], v[j])
+                (x1, x2), (x1c, x2c) = rows[i][j - i - 1], conj[i][j - i - 1]
+                t1, t2 = x1 * y1 - x2c * y2, x2 * y1 + x1c * y2
             else:
-                t1, t2 = ab_adjoint_mul(rows[j][i - j - 1], v[j])
+                (x1, x2), (x1c, x2c) = rows[j][i - j - 1], conj[j][i - j - 1]
+                t1, t2 = x1c * y1 + x2c * y2, x1 * y2 - x2 * y1
             if acc1 is None:
                 acc1, acc2 = t1, t2
             else:
                 acc1 += t1
                 acc2 += t2
         out.append(_new_tuple(AlamoutiBlock, (acc1, acc2)))
-    # the m - 1 block sums of each output block
-    charge(*cost(cadd=2 * m * (m - 1)))
+    # per output block one real scaling, m - 1 block products and their
+    # m - 1 block sums
+    charge(*cost(rcmul=2 * m, cmul=4 * m * (m - 1), cadd=2 * m * (m - 1) + 2 * m * (m - 1)))
     return out
+
+
+def sbm_sub_outer(rows, x, y, border=None) -> tuple:
+    """Rows of Q - x y^H over the strict upper triangle of k = len(x)
+    blocks: `ab_sub(Q_ij, ab_mul_adjoint(x[i], y[j]))`, Q's row i given as
+    `rows[i]` (blocks past column k - 1 unread).  With `border` (the growth
+    step's new last column) row i ends in border[i] and an empty row follows."""
+    k = len(x)
+    y1c = [y1.conjugate() for y1, _ in y[1:k]]
+    out = []
+    for i, (x1, x2) in enumerate(x[: k - 1]):
+        x1c, x2c = x1.conjugate(), x2.conjugate()
+        row = []
+        for (q1, q2), (_, y2), yc in zip(rows[i], y[i + 1 : k], y1c[i:]):
+            row.append(_new_tuple(AlamoutiBlock, (q1 - (x1 * yc + x2c * y2), q2 - (x2 * yc - x1c * y2))))
+        out.append(tuple(row) if border is None else (*row, border[i]))
+    out.append(() if border is None else (border[k - 1],))
+    # per block one block product and one block difference
+    n = k * (k - 1) // 2
+    if n:
+        charge(*cost(cmul=4 * n, cadd=2 * n + 2 * n))
+    return tuple(out) if border is None else (*out, ())

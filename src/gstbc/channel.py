@@ -140,6 +140,10 @@ def transmit(h: ChannelMatrix, s, noise: NoiseSpec) -> ReceivedVector:
     and the use itself is `receive` on one instance.
     """
     g = np.asarray(h.gains)
+    if g.ndim != 2 or g.shape[1] % 2 or 0 in g.shape:
+        raise InvalidDimensions(f"channel gains must be N x 2M with N, M >= 1, got {g.shape}")
+    if not np.isfinite(g).all():
+        raise InvalidDimensions("channel gains must be finite")
     sv = np.asarray(s, dtype=np.complex128)
     if sv.ndim != 1 or sv.size != g.shape[1]:
         raise InvalidDimensions(f"symbol vector length {sv.size} does not match 2M={g.shape[1]}")

@@ -198,12 +198,13 @@ def format_flop_report(report: FlopReport) -> str:
         lines.append(f"deviation from formula: {report.deviation:+.2%}")
     else:
         lines.append("no published formula for this detector")
-    if report.layers == 2 and report.detector in ("proposed", "fixed_order"):
-        dense = cost_dense_sic(report.n_rx)
-        total = report.measured_mults + report.measured_adds
-        lines.append(
-            f"one-step dense SIC reference: {dense.real_mults} real mults, "
-            f"{dense.real_adds} real adds; speedup {dense.total / total:.3f}x"
-        )
-    lines.append(f"asymptotic speedup vs sorted-QR model: {asymptotic_speedup():.4f}x")
+    if report.detector in ("proposed", "fixed_order"):
+        if report.layers == 2:
+            dense = cost_dense_sic(report.n_rx)
+            total = report.measured_mults + report.measured_adds
+            lines.append(
+                f"one-step dense SIC reference: {dense.real_mults} real mults, "
+                f"{dense.real_adds} real adds; speedup {dense.total / total:.3f}x"
+            )
+        lines.append(f"asymptotic speedup vs sorted-QR model: {asymptotic_speedup():.4f}x")
     return "\n".join(lines)

@@ -12,7 +12,7 @@ input values.  Each loop is plain arithmetic with one charge in
 from __future__ import annotations
 
 from .errors import PIVOT_REL_TOL, SingularPivot
-from .flops import cdotc, charge, cost
+from .flops import charge, cost, dotu
 
 
 def gram_plus_alpha(columns, alpha: float):
@@ -24,22 +24,29 @@ def gram_plus_alpha(columns, alpha: float):
     """
     k = len(columns)
     rows = [[0j] * k for _ in range(k)]
+    # each column conjugated once, for all the dot products it enters
+    conj = [list(map(complex.conjugate, col)) for col in columns]
     for i in range(k):
-        ci = columns[i]
+        ci = conj[i]
         for j in range(i, k):
-            acc = cdotc(ci, columns[j])
+            acc = dotu(ci, columns[j])
             if i == j:
                 rows[i][i] = acc + complex(alpha)
             else:
                 rows[i][j] = acc
                 rows[j][i] = acc.conjugate()
-    charge(*cost(cadd=k))
+    # k(k + 1)/2 dot products of length n, and alpha on the diagonal
+    n = len(columns[0]) if k else 0
+    dots = k * (k + 1) // 2
+    charge(*cost(cmul=n * dots, cadd=(n - 1) * dots + k))
     return rows
 
 
 def adjoint_apply(columns, vec):
-    """Return H^H vec for H given by `columns`."""
-    return [cdotc(col, vec) for col in columns]
+    """Return H^H vec for H given by `columns`, one dot product each."""
+    n = len(vec)
+    charge(*cost(cmul=n * len(columns), cadd=(n - 1) * len(columns)))
+    return [dotu(map(complex.conjugate, col), vec) for col in columns]
 
 
 def gj_inverse_hpd(a):

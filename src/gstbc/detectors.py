@@ -28,17 +28,20 @@ built equivalent channel.  Each compressed entry is a Python number for
 one instance, or a (B,) array for a block of B instances whose gains are
 stored batch-last (N x 2M x B), which is how `gstbc.batch` runs `proposed`
 and `fixed_order`; a `flop_scope` around a block counts one instance.  The
-layer choice (`select_layer`, one argmin over the layer axis) and the
-block-times-pair products serve both routes; only the front end, the
-interchange (`permute_workspace`), the guards and the output (`_scatter`)
-tell the two apart.  The recursion comes in two halves, the starting state
-(`_start_workspace`) and the layer loop (`_recurse`), so that every
-detector on one block can start from the same state.
+stages call the kernels of `gstbc.alamouti` and make one charge per loop;
+like the kernels they write in place only into what they allocated, so
+`_recurse` leaves its starting workspace as it was.  `matched_filter` and
+`init_gram` check their input as `_check_input` does.  The layer choice
+(`select_layer`, the argmin over the layer axis) and the kernels serve
+both routes; only the front end, the interchange (`permute_workspace`),
+the guards and the output (`_scatter`) tell the two apart.  The recursion
+comes in two halves, the starting state (`_start_workspace`) and the
+layer loop (`_recurse`), so that every detector on one block can start
+from the same state.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,21 +50,20 @@ import numpy as np
 from .alamouti import (
     AlamoutiBlock,
     StructuredHermitianBlockMatrix,
-    ab_adjoint_mul,
-    ab_mul,
-    ab_mul_adjoint,
-    ab_scale_real,
-    ab_sub,
+    sbm_from_rows,
     sbm_leading,
     sbm_matvec,
+    sbm_sub_outer,
     sbm_swap_blocks,
 )
 from .channel import ReceivedVector, equivalent_channel_batch
 from .dense import adjoint_apply, gj_inverse_hpd, gram_plus_alpha
 from .errors import IMAG_REL_TOL, PIVOT_REL_TOL, TIE_REL_TOL
 from .errors import InvalidDimensions, NonPositiveAlpha, SingularPivot
-from .flops import FlopCounter, cdotc, cdotu, charge, cost, flop_scope, rdiv, rsub
+from .flops import FlopCounter, cdotu, charge, cost, dotu, flop_scope, rdiv
 from .modulation import qpsk_slice
+
+_new_tuple = tuple.__new__  # skips the NamedTuple's Python-level __new__
 
 
 @dataclass(frozen=True)
@@ -118,17 +120,30 @@ def _check_alpha(alpha) -> None:
         raise NonPositiveAlpha(f"alpha must be > 0 and finite, got {alpha}")
 
 
-def _check_input(g, x, alpha, lead: int) -> None:
-    """The input checks of both routes, over `lead` leading instance axes
-    (0 for one instance, 1 for a block): gains (..., N, 2M) with N, M >= 1,
-    samples (..., 2N), a positive finite alpha, and finite entries."""
+def _check_shapes(g, x, alpha, lead: int) -> None:
+    """Both routes' input checks but finiteness, over `lead` leading
+    instance axes (0 for one instance, 1 for a block): gains (..., N, 2M),
+    N, M >= 1; samples (..., 2N) and a finite alpha > 0, unless None."""
     if g.ndim != lead + 2 or g.shape[-1] % 2 or 0 in g.shape[lead:]:
         raise InvalidDimensions(f"channel gains must be {'B x ' * lead}N x 2M with N, M >= 1, got {g.shape}")
-    if x.shape != g.shape[:lead] + (2 * g.shape[lead],):
+    if x is not None and x.shape != g.shape[:lead] + (2 * g.shape[lead],):
         raise InvalidDimensions(f"received samples must be {'B x ' * lead}2N, got {x.shape} for gains {g.shape}")
-    _check_alpha(alpha)
-    if not (np.isfinite(g).all() and np.isfinite(x).all()):
-        raise InvalidDimensions("channel gains and received samples must be finite")
+    if alpha is not None:
+        _check_alpha(alpha)
+
+
+def _check_finite(*arrays) -> None:
+    """Finite entries in each array but None; a byte search, cheaper than
+    `.all()` on one instance's few entries."""
+    for a in arrays:
+        if a is not None and b"\0" in np.isfinite(a).tobytes():
+            raise InvalidDimensions("channel gains and received samples must be finite")
+
+
+def _check_input(g, x, alpha, lead: int) -> None:
+    """`_check_shapes`, then `_check_finite`."""
+    _check_shapes(g, x, alpha, lead)
+    _check_finite(g, x)
 
 
 def _check_instance(h, x, alpha: float):
@@ -138,12 +153,17 @@ def _check_instance(h, x, alpha: float):
     return g, xv
 
 
-def _front_end(h):
-    """The gains (N x 2M) and their conversion to entries: Python numbers
-    for one instance, (B,) arrays for a batch-last block (N x 2M x B,
-    samples 2N x B)."""
-    g = np.asarray(h.gains)
-    return g, (np.asarray if g.ndim == 3 else np.ndarray.tolist)
+def _front_end(h, x, alpha):
+    """Checked gains (N x 2M), samples (None if not taken) and the entry
+    conversion: Python numbers for one instance, (B,) arrays for a
+    batch-last block (N x 2M x B, samples 2N x B, checked batch-first)."""
+    g, xv = np.asarray(h.gains), (None if x is None else _as_array(x))
+    if g.ndim == 3:
+        _check_shapes(np.moveaxis(g, -1, 0), None if x is None else xv.T, alpha, 1)
+    else:
+        _check_shapes(g, xv, alpha, 0)
+    _check_finite(g, xv)
+    return g, xv, (np.asarray if g.ndim == 3 else np.ndarray.tolist)
 
 
 def matched_filter(h, x) -> tuple:
@@ -153,22 +173,25 @@ def matched_filter(h, x) -> tuple:
     symbol 2i sums conj(h[r,2i]) x[2r] + h[r,2i+1] x[2r+1], and symbol
     2i+1 sums conj(h[r,2i+1]) x[2r] - h[r,2i] x[2r+1].
     """
-    g, entries = _front_end(h)
-    xv = _as_array(x)
-    if len(xv) != 2 * g.shape[0]:
-        raise InvalidDimensions(f"received vector length {len(xv)} does not match 2N={2 * g.shape[0]}")
-    rows = entries(g)
+    g, xv, entries = _front_end(h, x, None)
+    # the gains by column, over the antennas
+    cols = entries(g.swapaxes(0, 1))
     xs = entries(xv)
     n, two_m = g.shape[:2]
     out = []
-    for k in range(two_m):
-        add_partner = operator.isub if k % 2 else operator.iadd
-        acc = rows[0][k].conjugate() * xs[0]
-        for r, row in enumerate(rows):
-            if r:
-                acc += row[k].conjugate() * xs[2 * r]
-            acc = add_partner(acc, row[k ^ 1] * xs[2 * r + 1])
-        out.append(acc)
+    # symbol 2i adds its partner's term, symbol 2i+1 subtracts it
+    for k in range(0, two_m, 2):
+        even = odd = None
+        for g1, g2, x1, x2 in zip(cols[k], cols[k + 1], xs[0::2], xs[1::2]):
+            if even is None:
+                even = g1.conjugate() * x1
+                odd = g2.conjugate() * x1
+            else:
+                even += g1.conjugate() * x1
+                odd += g2.conjugate() * x1
+            even += g2 * x2
+            odd -= g1 * x2
+        out += (even, odd)
     charge(*cost(cmul=2 * n * two_m, cadd=(2 * n - 1) * two_m))
     return tuple(out)
 
@@ -181,47 +204,40 @@ def init_gram(h, alpha: float) -> StructuredHermitianBlockMatrix:
     Alamouti, so only those parts are ever computed: per off-diagonal
     block 4N complex mults, per diagonal scalar 4N real mults.
     """
-    _check_alpha(alpha)
-    g, entries = _front_end(h)
+    g, _, entries = _front_end(h, None, alpha)
     m = g.shape[1] // 2
     n = g.shape[0]
-    # per receive antenna and layer: a = gain of the first antenna in the
-    # pair, b = gain of the second; redundancy rows are implied
-    a = entries(g[:, 0::2])
-    b = entries(g[:, 1::2])
+    # gains and conjugates by column (layer i: 2i and 2i + 1) over antennas
+    cols = entries(g.swapaxes(0, 1))
+    conj = entries(g.conj().swapaxes(0, 1))
     diag = []
     for i in range(m):
-        acc = _norm2(a[0][i], b[0][i])
-        for r in range(1, n):
-            acc += _norm2(a[r][i], b[r][i])
+        acc = None
+        for x1, x2 in zip(cols[2 * i], cols[2 * i + 1]):
+            t = (x1.real * x1.real + x1.imag * x1.imag) + (x2.real * x2.real + x2.imag * x2.imag)
+            acc = t if acc is None else acc + t
         diag.append(acc + alpha)
-    upper = []
+    rows = []
     for i in range(m):
+        ai, bi, aic, bic = cols[2 * i], cols[2 * i + 1], conj[2 * i], conj[2 * i + 1]
+        row = []
         for j in range(i + 1, m):
-            acc1 = acc2 = None
-            for r in range(n):
-                ai, bi, aj, bjc = a[r][i], b[r][i], a[r][j], b[r][j].conjugate()
-                t1 = ai.conjugate() * aj + bi * bjc
-                t2 = bi.conjugate() * aj - ai * bjc
+            acc1 = None
+            for x1, x2, x1c, x2c, y1, y2c in zip(ai, bi, aic, bic, cols[2 * j], conj[2 * j + 1]):
+                t1, t2 = x1c * y1 + x2 * y2c, x2c * y1 - x1 * y2c
                 if acc1 is None:
                     acc1, acc2 = t1, t2
                 else:
                     acc1 += t1
                     acc2 += t2
-            upper.append(AlamoutiBlock(acc1, acc2))
+            row.append(_new_tuple(AlamoutiBlock, (acc1, acc2)))
+        rows.append(tuple(row))
     # per diagonal scalar 2N squared magnitudes and 2N real adds (alpha
     # included); per off-diagonal block 4N complex mults, 2N adds inside
     # the terms and 2(N - 1) to accumulate them
-    blocks = len(upper)
-    charge(*cost(cabs2=2 * n * m, radd=2 * n * m))
-    charge(*cost(cmul=4 * n * blocks, cadd=(4 * n - 2) * blocks))
-    return StructuredHermitianBlockMatrix(m, tuple(diag), tuple(upper))
-
-
-def _norm2(x1, x2):
-    """|x1|^2 + |x2|^2, the sum of two `cabs2`; uncounted, as its callers
-    charge their loops."""
-    return (x1.real * x1.real + x1.imag * x1.imag) + (x2.real * x2.real + x2.imag * x2.imag)
+    blocks = m * (m - 1) // 2
+    charge(*cost(cabs2=2 * n * m, radd=2 * n * m, cmul=4 * n * blocks, cadd=(4 * n - 2) * blocks))
+    return sbm_from_rows(m, tuple(diag), tuple(rows))
 
 
 def _pivot_guard(value, scale, what):
@@ -269,37 +285,38 @@ def init_covariance(rbar: StructuredHermitianBlockMatrix) -> StructuredHermitian
     m = rbar.m
     scale = sum(rbar.diag) / m
     _pivot_guard(rbar.diag[0], scale, "leading diagonal")
-    q = StructuredHermitianBlockMatrix(1, (rdiv(1.0, rbar.diag[0]),), ())
+    q = sbm_from_rows(1, (rdiv(1.0, rbar.diag[0]),), ((),))
+    cols = rbar.upper_rows()
     for mm in range(2, m + 1):
         k = mm - 1
-        v = [rbar.block(j, k) for j in range(k)]
-        upsilon = rbar.diag[k]
+        v = [cols[j][k - j - 1] for j in range(k)]
         u = sbm_matvec(q, v)
         # quadratic form over the first expanded column of v and Q v
-        beta = cdotc([e for vj in v for e in vj], [e for uj in u for e in uj])
+        beta = dotu([e.conjugate() for vj in v for e in vj], [e for uj in u for e in uj])
         _real_guard(beta)
-        denom = rsub(upsilon, beta.real)
+        denom = rbar.diag[k] - beta.real
         _pivot_guard(denom, scale, "covariance recursion")
-        omega = rdiv(1.0, denom)
-        w = [ab_scale_real(-omega, uj) for uj in u]
-        new_diag = [d + omega * _norm2(*ui) for d, ui in zip(q.diag, u)]
-        new_diag.append(omega)
-        charge(*cost(cabs2=2 * k, radd=2 * k, rmul=k))
-        new_upper = []
-        for i, row in enumerate(q.upper_rows()):
-            for j, qij in enumerate(row, i + 1):
-                new_upper.append(ab_sub(qij, ab_mul_adjoint(u[i], w[j])))
-            new_upper.append(w[i])
-        q = StructuredHermitianBlockMatrix(mm, tuple(new_diag), tuple(new_upper))
+        omega = 1.0 / denom
+        w = [_new_tuple(AlamoutiBlock, (-omega * u1, -omega * u2)) for u1, u2 in u]
+        diag = [d + omega * ((u1.real * u1.real + u1.imag * u1.imag) + (u2.real * u2.real + u2.imag * u2.imag))
+                for d, (u1, u2) in zip(q.diag, u)]
+        diag.append(omega)
+        # the quadratic form, the denominator, its inverse, w and the diagonal
+        charge(*cost(cmul=2 * k, cadd=2 * k - 1, radd=1 + 2 * k, rdiv=1, rcmul=2 * k, cabs2=2 * k, rmul=k))
+        q = sbm_from_rows(mm, tuple(diag), sbm_sub_outer(q.upper_rows(), u, w, border=w))
     return q
 
 
 def select_layer(ws: DetectorWorkspace):
     """Pick the layer with the smallest inverse diagonal (best post-MMSE
     quality); returns the even scalar index 2(i+1) of the chosen block,
-    over a block a (B,) array of them.  Ties resolve to the smallest
-    index."""
-    return 2 * (np.argmin(ws.Qbar.diag, axis=0) + 1)
+    over a block a (B,) array of them.  As `np.argmin` (plain Python on one
+    instance), ties go to the smallest index and a NaN wins."""
+    diag = ws.Qbar.diag
+    if not isinstance(diag[0], float):
+        return 2 * (np.argmin(diag, axis=0) + 1)
+    nan = [i for i, d in enumerate(diag) if d != d]
+    return 2 * ((nan[0] if nan else diag.index(min(diag))) + 1)
 
 
 def permute_workspace(ws: DetectorWorkspace, l: int) -> DetectorWorkspace:
@@ -387,11 +404,13 @@ def estimate_layer(ws: DetectorWorkspace):
     omega = ws.Qbar.diag[m - 1]
     y1 = omega * ws.z[2 * m - 2]
     y2 = omega * ws.z[2 * m - 1]
-    for j in range(m - 1):
-        c1, c2 = ab_adjoint_mul(ws.Qbar.block(j, m - 1), AlamoutiBlock(ws.z[2 * j], ws.z[2 * j + 1]))
-        y1 += c1
-        y2 += c2
-    charge(*cost(rcmul=2, cadd=2 * (m - 1)))
+    # row j ends in block (j, m - 1), which enters as its adjoint
+    for row, z1, z2 in zip(ws.Qbar.upper_rows()[:-1], ws.z[0::2], ws.z[1::2]):
+        x1, x2 = row[-1]
+        y1 += x1.conjugate() * z1 + x2.conjugate() * z2
+        y2 += x1 * z2 - x2 * z1
+    # the real scaling, m - 1 block products and their sums
+    charge(*cost(rcmul=2, cmul=4 * (m - 1), cadd=2 * (m - 1) + 2 * (m - 1)))
     return y1, y2
 
 
@@ -406,18 +425,16 @@ def deflate_covariance(ws: DetectorWorkspace) -> StructuredHermitianBlockMatrix:
     q = ws.Qbar
     omega = q.diag[m - 1]
     _pivot_guard(omega, sum(q.diag) / m, "covariance deflation")
-    inv_omega = rdiv(1.0, omega)
+    inv_omega = 1.0 / omega
     # row i ends in block (i, m - 1): w is the last block column
-    rows = q.upper_rows()[:-1]
-    w = [row[-1] for row in rows]
-    wt = [ab_scale_real(inv_omega, wj) for wj in w]
-    diag = [d - inv_omega * _norm2(*wi) for d, wi in zip(q.diag, w)]
-    charge(*cost(cabs2=2 * (m - 1), radd=2 * (m - 1), rmul=m - 1))
-    upper = []
-    for i, row in enumerate(rows):
-        for j, qij in enumerate(row[:-1], i + 1):
-            upper.append(ab_sub(qij, ab_mul_adjoint(wt[i], w[j])))
-    return StructuredHermitianBlockMatrix(m - 1, tuple(diag), tuple(upper))
+    rows = q.upper_rows()
+    w = [row[-1] for row in rows[:-1]]
+    wt = [_new_tuple(AlamoutiBlock, (inv_omega * w1, inv_omega * w2)) for w1, w2 in w]
+    diag = [d - inv_omega * ((w1.real * w1.real + w1.imag * w1.imag) + (w2.real * w2.real + w2.imag * w2.imag))
+            for d, (w1, w2) in zip(q.diag, w)]
+    # the inverse, wt and the diagonal
+    charge(*cost(rdiv=1, rcmul=2 * (m - 1), cabs2=2 * (m - 1), radd=2 * (m - 1), rmul=m - 1))
+    return sbm_from_rows(m - 1, tuple(diag), sbm_sub_outer(rows, wt, w))
 
 
 def cancel_layer(ws: DetectorWorkspace, s1: complex, s2: complex) -> DetectorWorkspace:
@@ -431,11 +448,12 @@ def cancel_layer(ws: DetectorWorkspace, s1: complex, s2: complex) -> DetectorWor
     m = ws.m
     q_next = deflate_covariance(ws)
     z = []
-    for j in range(m - 1):
-        t1, t2 = ab_mul(ws.Rbar.block(j, m - 1), AlamoutiBlock(s1, s2))
-        z.append(ws.z[2 * j] - t1)
-        z.append(ws.z[2 * j + 1] - t2)
-    charge(*cost(cadd=2 * (m - 1)))
+    # row j ends in block (j, m - 1) of the Gram
+    for j, row in enumerate(ws.Rbar.upper_rows()[:-1]):
+        x1, x2 = row[-1]
+        z += (ws.z[2 * j] - (x1 * s1 - x2.conjugate() * s2), ws.z[2 * j + 1] - (x2 * s1 + x1.conjugate() * s2))
+    # m - 1 block products and the 2(m - 1) subtractions
+    charge(*cost(cmul=4 * (m - 1), cadd=2 * (m - 1) + 2 * (m - 1)))
     return DetectorWorkspace(m - 1, sbm_leading(ws.Rbar, m - 1), q_next, tuple(z), ws.p)
 
 
@@ -478,8 +496,8 @@ def _recurse(ws: DetectorWorkspace, slicer, ordered, record_trace):
     trace = [] if record_trace else None
     steps = []
     for mm in range(m, 0, -1):
-        if mm > 1:
-            ws = permute_workspace(ws, select_layer(ws) if ordered else 2 * mm)
+        if mm > 1 and ordered:
+            ws = permute_workspace(ws, select_layer(ws))
         y1, y2 = estimate_layer(ws)
         if record_trace:
             trace.append(TraceStep(ws, y1, y2))
@@ -495,8 +513,9 @@ def _recurse(ws: DetectorWorkspace, slicer, ordered, record_trace):
 
 
 def _detect_recursive(h, x, alpha, ordered, record_trace):
-    """The group-wise recursion on one checked instance, both halves
-    counted in one scope."""
+    """The group-wise recursion on one instance, both halves counted in one
+    scope; `matched_filter` checks finiteness after the caller's
+    `_check_shapes`, in `_check_input`'s order."""
     local = FlopCounter()
     with flop_scope(local):
         decisions, soft, order, trace = _recurse(_start_workspace(h, x, alpha), qpsk_slice, ordered, record_trace)
@@ -512,14 +531,14 @@ def detect_gstbc(h, x, alpha: float, record_trace: bool = False) -> DetectionRes
     keeps a per-depth snapshot of the workspace and soft pair for
     verification.
     """
-    _check_instance(h, x, alpha)
+    _check_shapes(np.asarray(h.gains), _as_array(x), alpha, 0)
     return _detect_recursive(h, x, alpha, True, record_trace)
 
 
 def detect_fixed_order(h, x, alpha: float, record_trace: bool = False) -> DetectionResult:
     """Same recursion as `detect_gstbc` with ordering disabled (last block
     first, every step).  Isolates the gain of the ordering rule."""
-    _check_instance(h, x, alpha)
+    _check_shapes(np.asarray(h.gains), _as_array(x), alpha, 0)
     return _detect_recursive(h, x, alpha, False, record_trace)
 
 

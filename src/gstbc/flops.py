@@ -14,8 +14,9 @@ plain operators and then makes one `charge`, written as the numbers of
 primitive operations the loop performs (`cost(cmul=n, cadd=n - 1)` for a
 dot product of length n), so a charge reads as the per-element primitives
 it stands for and no total is typed by hand.  The row helpers `cdotc` and
-`cdotu` are such loops.  The per-element primitives (`cmul`, `cadd`, ...)
-remain for single operations and define the convention; a loop's charge
+`cdotu` are such loops (`dotu` is the uncounted row product).  The per-
+element primitives (`cmul`, `cadd`, ...) remain for single operations
+and define the convention; a loop's charge
 equals, count for count, what the same loop written with them would
 charge.  Counting is scoped and thread-confined: arithmetic accrues to the
 innermost `flop_scope` counter installed on the current thread, and a
@@ -26,7 +27,7 @@ scope active nothing is charged and the arithmetic just computes.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
+from operator import mul
 
 
 class FlopCounter:
@@ -66,25 +67,32 @@ class _Scope(threading.local):
 _scope = _Scope()
 
 
-@contextmanager
-def flop_scope(counter: FlopCounter):
+class flop_scope:
     """Install `counter` as the accounting target for the current thread.
 
     Nested scopes are hierarchical: on exit, whatever accrued inside is
     added to the enclosing scope's counter as well, so an outer scope sees
-    the full cost of everything executed within its dynamic extent.
+    the full cost of everything executed within its dynamic extent.  (A
+    class: every detection enters one, at half a generator's cost.)
     """
-    prev = _scope.current
-    base_mults = counter.real_mults
-    base_adds = counter.real_adds
-    _scope.current = counter
-    try:
-        yield counter
-    finally:
+
+    __slots__ = ("counter", "prev", "base")
+
+    def __init__(self, counter: FlopCounter):
+        self.counter = counter
+
+    def __enter__(self) -> FlopCounter:
+        c = self.counter
+        self.prev, self.base = _scope.current, (c.real_mults, c.real_adds)
+        _scope.current = c
+        return c
+
+    def __exit__(self, *exc) -> None:
+        c, prev = self.counter, self.prev
         _scope.current = prev
-        if prev is not None and prev is not counter:
-            prev.real_mults += counter.real_mults - base_mults
-            prev.real_adds += counter.real_adds - base_adds
+        if prev is not None and prev is not c:
+            prev.real_mults += c.real_mults - self.base[0]
+            prev.real_adds += c.real_adds - self.base[1]
 
 
 # --- counted primitives -------------------------------------------------
@@ -111,30 +119,29 @@ def charge(mults, adds):
         c.real_adds += adds
 
 
+def dotu(xs, ys):
+    """Sum of x y over two rows of n >= 1 entries, left to right; uncounted,
+    for a loop that charges all its dot products at once (conjugates made
+    once then serve every dot product they enter)."""
+    products = map(mul, xs, ys)
+    acc = next(products)
+    for p in products:
+        acc += p
+    return acc
+
+
 def cdotc(xs, ys):
-    """Sum of conj(x) y over two rows of n >= 1 entries, left to right:
-    n complex mults + n - 1 complex adds."""
-    pairs = zip(xs, ys)
-    x, y = next(pairs)
-    acc = x.conjugate() * y
-    for x, y in pairs:
-        acc += x.conjugate() * y
+    """Sum of conj(x) y: n complex mults + n - 1 complex adds."""
     n = len(xs)
     charge(*cost(cmul=n, cadd=n - 1))
-    return acc
+    return dotu([x.conjugate() for x in xs], ys)
 
 
 def cdotu(xs, ys):
-    """Sum of x y over two rows of n >= 1 entries, left to right: n
-    complex mults + n - 1 complex adds."""
-    pairs = zip(xs, ys)
-    x, y = next(pairs)
-    acc = x * y
-    for x, y in pairs:
-        acc += x * y
+    """`dotu` counted: n complex mults + n - 1 complex adds."""
     n = len(xs)
     charge(*cost(cmul=n, cadd=n - 1))
-    return acc
+    return dotu(xs, ys)
 
 
 def cmul(x, y):

@@ -123,6 +123,24 @@ def test_transmit_rejects_a_bad_noise_variance():
             transmit(h, s, NoiseSpec(sigma_n2=sigma_n2))
 
 
+def test_transmit_rejects_bad_gains():
+    s = qpsk_modulate([0, 1, 1, 0, 0, 0, 1, 1])
+    g = np.asarray(generate_channel(2, 2, seed=0).gains)
+    bad_nan, bad_inf = g.copy(), g.copy()
+    bad_nan[1, 2] = np.nan
+    bad_inf[0, 0] = np.inf
+    for gains, symbols, what in (
+        (np.zeros(4), s[:4], "N x 2M"),  # not N x 2M
+        (np.zeros((2, 3)), s[:3], "N x 2M"),  # odd column count
+        (np.zeros((0, 4)), s[:4], "N x 2M"),  # N = 0
+        (np.zeros((2, 0)), s[:0], "N x 2M"),  # M = 0
+        (bad_nan, s, "finite"),
+        (bad_inf, s, "finite"),
+    ):
+        with pytest.raises(InvalidDimensions, match=what):
+            transmit(ChannelMatrix(gains), symbols, NoiseSpec(sigma_n2=0.0))
+
+
 def test_package_exports_resolve():
     assert [name for name in gstbc.__all__ if not hasattr(gstbc, name)] == []
 

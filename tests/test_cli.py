@@ -181,6 +181,16 @@ def test_flops_command(capsys):
     assert "measured" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("det", ["proposed", "fixed_order", "linear_mmse", "osic_symbolwise", "sic_groupwise"])
+def test_flops_command_prints_the_recursion_ratios_for_the_recursion_only(det, capsys):
+    # both speedup lines are the recursion's cost ratios
+    assert main(["flops", "--m", "2", "--n", "2", "--detector", det]) == 0
+    out = capsys.readouterr().out
+    recursion = det in ("proposed", "fixed_order")
+    assert ("asymptotic speedup vs sorted-QR model" in out) == recursion
+    assert ("one-step dense SIC reference" in out) == recursion
+
+
 def test_ber_command_stdout_and_file(tmp_path, capsys):
     argv = [
         "ber", "--m", "2", "--n", "2", "--snr-start", "0", "--snr-stop", "4",
