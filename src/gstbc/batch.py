@@ -7,25 +7,33 @@ and soft values.
 
 Every engine reads its block through a `PreparedBlock`, which checks the
 block once and computes each front end on first use: the recursion's
-starting state, the dense Gram with its matched filter, and that Gram's
-inverse.  A sweep builds one per slice of a drawn block (at most
-`sim.SLICE_SIZE` instances) and passes it as `prepared=` to every
-detector, so the front ends are computed once per slice and only one
-slice's are held; a call without it builds its own, so both calls run the
-same code.  The dense front end and the recursion's batch-last copy are
-built chunk by chunk of instances (`CHUNK_BYTES` of gains each) into the
-final arrays, so no whole-block equivalent channel or its conjugate is
-ever held.
+compressed Gram and matched filter and its starting state, the dense
+Gram with its matched filter, and that Gram's inverse.  A sweep builds
+one per slice of a drawn block (at most `sim.SLICE_SIZE` instances) and
+passes it as `prepared=` to every detector, so the front ends are
+computed once per slice and only one slice's are held; a call without it
+builds its own, so both calls run the same code.
+
+Both front ends come from one batched product per chunk of instances
+(`CHUNK_BYTES` of gains each), P = h^T conj([h | x1 | conj(x2)]) with
+x1, x2 the two slots' samples.  The column-pair orthogonality of the
+equivalent channel makes every block of its Gram Alamouti, so a block's
+two parts and a diagonal scalar are each a sum or difference of two
+entries of P, and so is each matched-filter entry: that is about half the
+dense Gram's products, and no equivalent channel is ever built.  The
+compressed entries are stored batch-last, one (B,) array each.  The dense
+Gram, built only when a dense reference asks for it, is their exact
+expansion, one gather per chunk.
 
 `proposed` and `fixed_order` run the counted recursion of
-`gstbc.detectors` itself over the gains stored batch-last, (N, 2M, B), so
-each compressed entry is a (B,) array and a `flop_scope` around an
-unprepared call counts one instance; no equivalent channel is built for
-it.  The dense references are whole-array numpy: `linear_mmse` solves
-once, and the two symbol-wise SIC references share `_masked_sic`, the
-batch twin of `detectors._dense_sic`, which downdates the block's inverse
-by rank one after each detected symbol.  It keeps the downdates as
-rank-one terms and applies them only to the (B, 2M) row, column and
+`gstbc.detectors` itself over those (B,) entries, from `init_covariance`
+on; building the start charges what `matched_filter` and `init_gram`
+charge, so a `flop_scope` around an unprepared call counts one
+instance.  The dense references are whole-array numpy: `linear_mmse`
+solves once, and the two symbol-wise SIC references share `_masked_sic`,
+the batch twin of `detectors._dense_sic`, which downdates the block's
+inverse by rank one after each detected symbol.  It keeps the downdates
+as rank-one terms and applies them only to the (B, 2M) row, column and
 diagonal that the next step reads, so the shared inverse is never copied
 or rewritten.  Every engine slices to QPSK.
 """
@@ -38,15 +46,15 @@ from functools import cached_property, reduce
 import numpy as np
 
 from . import detectors
-from .channel import ChannelMatrix, equivalent_channel_batch
+from .alamouti import AlamoutiBlock, StructuredHermitianBlockMatrix
 from .errors import TIE_REL_TOL, SingularPivot
+from .flops import charge
 from .modulation import qpsk_slice_array
 
 # bytes of gains per chunk of instances when a block's front ends are
-# built: the chunk's equivalent channel, its conjugate and its Gram then
-# take about a third of a 2 MiB L2 cache.  Of 16 KiB to 512 KiB, this built
-# both front ends fastest at (2, 8), (4, 4) and (8, 8), and within 10% of
-# the fastest at (16, 16)
+# built: the chunk's conjugated gains, its product and its dense Gram then
+# stay in a 2 MiB L2 cache.  Of 32 KiB to 1 MiB, this built both front
+# ends within 10% of the fastest at (2, 8), (4, 4), (8, 8) and (16, 16)
 CHUNK_BYTES = 128 * 1024
 
 
@@ -61,17 +69,58 @@ def _chunk_len(h) -> int:
     return max(1, CHUNK_BYTES // (h.itemsize * h.shape[1] * h.shape[2]))
 
 
+def _product_index(m: int) -> tuple:
+    """Where the compressed entries' terms sit in the flattened product
+    P (2M x (2M + 2)) of `PreparedBlock.compressed`, and where they go.
+
+    Returns the flat positions of P[2j, 2i], P[2i+1, 2j+1], P[2j, 2i+1],
+    P[2i, 2j+1] over the pairs i < j (row-major, as `upper` holds them),
+    then of P[k, k], P[k, 2M] and P[k, 2M+1] over k < 2M, and the slices
+    of that list that each group takes.
+    """
+    i, j = np.triu_indices(m, 1)
+    k = np.arange(2 * m)
+    width = 2 * m + 2
+    groups = [2 * j * width + 2 * i, (2 * i + 1) * width + 2 * j + 1, 2 * j * width + 2 * i + 1,
+              2 * i * width + 2 * j + 1, k * width + k, k * width + 2 * m, k * width + 2 * m + 1]
+    bounds = np.cumsum([0] + [len(g) for g in groups])
+    return np.concatenate(groups), [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _expansion_index(m: int) -> np.ndarray:
+    """The dense Gram (2M x 2M, flattened) as a gather from the row
+    [a1 | a2 | -a2 | conj(a1) | conj(a2) | -conj(a2) | diag | 0] of one
+    instance's compressed entries: block (i, j), i < j, is
+    [[a1, -conj(a2)], [a2, conj(a1)]], block (j, i) its adjoint, and
+    diagonal block i is diag_i I2."""
+    i, j = np.triu_indices(m, 1)
+    pair, n_up = np.arange(len(i)), len(i)
+    layer = np.arange(m)
+    index = np.empty((2 * m, 2 * m), dtype=np.intp)
+    index[2 * i, 2 * j] = index[2 * j + 1, 2 * i + 1] = pair
+    index[2 * i + 1, 2 * j] = n_up + pair
+    index[2 * j + 1, 2 * i] = 2 * n_up + pair
+    index[2 * j, 2 * i] = index[2 * i + 1, 2 * j + 1] = 3 * n_up + pair
+    index[2 * j, 2 * i + 1] = 4 * n_up + pair
+    index[2 * i, 2 * j + 1] = 5 * n_up + pair
+    index[2 * layer, 2 * layer] = index[2 * layer + 1, 2 * layer + 1] = 6 * n_up + layer
+    index[2 * layer, 2 * layer + 1] = index[2 * layer + 1, 2 * layer] = 6 * n_up + m
+    return index.reshape(-1)
+
+
 class PreparedBlock:
     """One checked block and the front ends its detectors share.
 
     Built from the physical channels `h` (B, N, 2M), the stacked samples
     `x` (B, 2N) and `alpha`, which it checks once.  Each front end is
     computed on first use and then kept for every later detector on the
-    same block: `workspace`, the recursion's starting state over the
-    batch-last gains; `dense`, the regularized Gram and matched filter of
-    the equivalent channel; `dense_inverse`, that Gram's inverse.
-    Detectors only read these; the dense arrays are marked read-only.  A
-    Gram that LAPACK finds singular raises `SingularPivot`.
+    same block: `compressed`, the recursion's compressed regularized Gram
+    and matched filter, built from one product per chunk of instances;
+    `workspace`, the recursion's starting state grown from them; `dense`,
+    the regularized Gram and matched filter of the equivalent channel,
+    expanded from the compressed ones; `dense_inverse`, that Gram's
+    inverse.  Detectors only read these; the arrays are marked read-only.
+    A Gram that LAPACK finds singular raises `SingularPivot`.
     """
 
     def __init__(self, h, x, alpha):
@@ -81,33 +130,100 @@ class PreparedBlock:
         self.alpha = alpha
 
     @cached_property
-    def workspace(self) -> detectors.DetectorWorkspace:
+    def _entries(self) -> tuple:
+        """The compressed front end's entries, batch-last: the diagonal
+        scalars (M, B), the a1 and a2 parts of the upper blocks (each
+        (M(M - 1)/2, B), row-major) and the matched filter (2M, B).
+
+        Per instance, with a = h[:, 0::2], b = h[:, 1::2], x1 = x[0::2]
+        and x2 = x[1::2], one product P = h^T conj([h | x1 | conj(x2)])
+        holds every sum needed.  Block (i, j) of the Gram is Alamouti with
+        a1 = a_i^H a_j + conj(b_i^H b_j) = P[2j, 2i] + P[2i+1, 2j+1] and
+        a2 = b_i^H a_j - a_i^T conj(b_j) = P[2j, 2i+1] - P[2i, 2j+1]; its
+        diagonal scalar i is Re(P[2i, 2i]) + Re(P[2i+1, 2i+1]) + alpha;
+        and the matched filter's pair i is (a_i^H x1 + b_i^T x2,
+        b_i^H x1 - a_i^T x2) = (conj(P[2i, 2M]) + P[2i+1, 2M+1],
+        conj(P[2i+1, 2M]) - P[2i, 2M+1]).  The products are made a chunk
+        of instances at a time and each entry is stored batch-last, one
+        (B,) row.
+        """
         h, x = self.h, self.x
-        b, step = len(h), _chunk_len(h)
-        h_last = np.empty(h.shape[1:] + (b,), dtype=h.dtype)
-        x_last = np.empty(x.shape[1:] + (b,), dtype=x.dtype)
+        b, n, two_m = h.shape
+        m = two_m // 2
+        step = _chunk_len(h)
+        index, (p1, q1, p2, q2, sq, f, y) = _product_index(m)
+        diag = np.empty((m, b))
+        a1 = np.empty((m * (m - 1) // 2, b), dtype=np.complex128)
+        a2 = np.empty_like(a1)
+        z = np.empty((two_m, b), dtype=np.complex128)
+        rhs = np.empty((min(step, b), n, two_m + 2), dtype=np.complex128)
+        prod = np.empty((min(step, b), two_m, two_m + 2), dtype=np.complex128)
         for lo in range(0, b, step):
-            h_last[:, :, lo : lo + step] = h[lo : lo + step].transpose(1, 2, 0)
-            x_last[:, lo : lo + step] = x[lo : lo + step].T
-        return detectors._start_workspace(ChannelMatrix(h_last), x_last, self.alpha)
+            hc, xc = h[lo : lo + step], x[lo : lo + step]
+            c = len(hc)
+            np.conjugate(hc, out=rhs[:c, :, :two_m])
+            np.conjugate(xc[:, 0::2], out=rhs[:c, :, two_m])
+            rhs[:c, :, two_m + 1] = xc[:, 1::2]
+            p = np.matmul(hc.swapaxes(1, 2), rhs[:c], out=prod[:c])
+            t = np.take(p.reshape(c, -1), index, axis=1, mode="clip")
+            np.add(t[:, p1], t[:, q1], out=a1[:, lo : lo + c].T)
+            np.subtract(t[:, p2], t[:, q2], out=a2[:, lo : lo + c].T)
+            d = t[:, sq].real
+            np.add(d[:, 0::2], d[:, 1::2], out=diag[:, lo : lo + c].T)
+            fc = np.conjugate(t[:, f])
+            np.add(fc[:, 0::2], t[:, y][:, 1::2], out=z[0::2, lo : lo + c].T)
+            np.subtract(fc[:, 1::2], t[:, y][:, 0::2], out=z[1::2, lo : lo + c].T)
+        diag += self.alpha
+        for a in (diag, a1, a2, z):
+            a.flags.writeable = False
+        return diag, a1, a2, z
+
+    @cached_property
+    def compressed(self) -> tuple:
+        """The compressed regularized Gram (a `StructuredHermitianBlockMatrix`)
+        and the matched filter's 2M entries, each entry a (B,) array."""
+        diag, a1, a2, z = self._entries
+        return StructuredHermitianBlockMatrix(len(diag), tuple(diag), tuple(map(AlamoutiBlock, a1, a2))), tuple(z)
+
+    @cached_property
+    def workspace(self) -> detectors.DetectorWorkspace:
+        """The recursion's starting state.  Building it charges, per
+        instance, what `matched_filter` and `init_gram` charge."""
+        rbar, z = self.compressed
+        n = self.h.shape[1]
+        charge(*detectors._matched_filter_cost(n, rbar.m))
+        charge(*detectors._gram_cost(n, rbar.m))
+        return detectors._grow_workspace(rbar, z)
 
     @cached_property
     def dense(self) -> tuple:
-        """Regularized Gram H'^H H' + alpha I and matched filter H'^H x'."""
-        h, x = self.h, self.x
-        b, _, two_m = h.shape
-        step = _chunk_len(h)
-        g = np.empty((b, two_m, two_m), dtype=np.complex128)
-        z = np.empty((b, two_m), dtype=np.complex128)
-        idx = np.arange(two_m)
+        """Regularized Gram H'^H H' + alpha I and matched filter H'^H x'.
+
+        The Gram is the compressed one written out (`_expansion_index`) a
+        chunk of instances at a time, so each of its entries is bit for
+        bit a compressed entry, its conjugate, its negation or zero; the
+        matched filter is the compressed one batch-first.
+        """
+        diag, a1, a2, z = self._entries
+        (m, b), n_up = diag.shape, len(a1)
+        step = _chunk_len(self.h)
+        index = _expansion_index(m)
+        g = np.empty((b, 4 * m * m), dtype=np.complex128)
+        row = np.zeros((min(step, b), 6 * n_up + m + 1), dtype=np.complex128)
         for lo in range(0, b, step):
-            hp = equivalent_channel_batch(h[lo : lo + step])
-            hh = np.conj(hp).swapaxes(1, 2)
-            gc = np.matmul(hh, hp, out=g[lo : lo + step])
-            gc[:, idx, idx] += self.alpha
-            np.matmul(hh, x[lo : lo + step, :, None], out=z[lo : lo + step, :, None])
-        g.flags.writeable = z.flags.writeable = False
-        return g, z
+            r = row[: min(step, b - lo)]
+            r[:, :n_up] = a1[:, lo : lo + step].T
+            r[:, n_up : 2 * n_up] = a2[:, lo : lo + step].T
+            np.negative(r[:, n_up : 2 * n_up], out=r[:, 2 * n_up : 3 * n_up])
+            np.conjugate(r[:, : 3 * n_up], out=r[:, 3 * n_up : 6 * n_up])
+            r[:, 6 * n_up : 6 * n_up + m] = diag[:, lo : lo + step].T
+            # the indices are in range: "clip" skips the bounds check and
+            # the copy of `out` that numpy makes for it
+            np.take(r, index, axis=1, out=g[lo : lo + step], mode="clip")
+        g = g.reshape(b, 2 * m, 2 * m)
+        zd = np.ascontiguousarray(z.T)
+        g.flags.writeable = zd.flags.writeable = False
+        return g, zd
 
     @cached_property
     def dense_inverse(self) -> np.ndarray:

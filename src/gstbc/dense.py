@@ -5,8 +5,8 @@ pivot-free Gauss-Jordan inverse.  Regularized Gram matrices are Hermitian
 positive definite, so elimination needs no row interchanges and every
 pivot stays real and positive; the arithmetic is therefore branch-free
 and the flop count of any detector built on top is independent of the
-input values.  Each loop is plain arithmetic with one charge in
-`gstbc.flops`.
+input values.  Each helper is plain arithmetic with one charge in
+`gstbc.flops` per call.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def gj_inverse_hpd(a):
             # flop count depends only on the matrix size
             factor = work[r][col]
             work[r] = [t - factor * c for t, c in zip(work[r], row)]
-        # one pivot division, the pivot row scaled, every other row
-        # eliminated over all 2n columns
-        charge(*cost(rdiv=1, rcmul=2 * n, cmul=2 * n * (n - 1), cadd=2 * n * (n - 1)))
+    # per column: one pivot division, the pivot row scaled, every other
+    # row eliminated over all 2n columns
+    charge(*cost(rdiv=n, rcmul=2 * n * n, cmul=2 * n * n * (n - 1), cadd=2 * n * n * (n - 1)))
     return [row[n:] for row in work]

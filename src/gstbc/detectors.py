@@ -25,19 +25,24 @@ channel from the gains with `channel.equivalent_channel_batch`.
 
 The recursion is written once and reads only the physical gains, never a
 built equivalent channel.  Each compressed entry is a Python number for
-one instance, or a (B,) array for a block of B instances whose gains are
-stored batch-last (N x 2M x B), which is how `gstbc.batch` runs `proposed`
-and `fixed_order`; a `flop_scope` around a block counts one instance.  The
-stages call the kernels of `gstbc.alamouti` and make one charge per loop;
-like the kernels they write in place only into what they allocated, so
-`_recurse` leaves its starting workspace as it was.  `matched_filter` and
-`init_gram` check their input as `_check_input` does.  The layer choice
-(`select_layer`, the argmin over the layer axis) and the kernels serve
-both routes; only the front end, the interchange (`permute_workspace`),
-the guards and the output (`_scatter`) tell the two apart.  The recursion
-comes in two halves, the starting state (`_start_workspace`) and the
-layer loop (`_recurse`), so that every detector on one block can start
-from the same state.
+one instance, or a (B,) array for a block of B instances; a `flop_scope`
+around a block counts one instance.  The stages call the kernels of
+`gstbc.alamouti` and make one charge per loop; like the kernels they
+write in place only into what they allocated, so `_recurse` leaves its
+starting workspace as it was.  The layer choice (`select_layer`, the
+argmin over the layer axis) and the kernels serve both routes; only the
+front end, the interchange (`permute_workspace`), the guards and the
+output (`_scatter`) tell the two apart.
+
+The recursion comes in two halves, the starting state and the layer loop
+(`_recurse`), so that every detector on one block can start from the same
+state.  One instance starts from `matched_filter` and `init_gram`
+(`_start_workspace`), which check their input as `_check_input` does and
+also take a block's gains stored batch-last (N x 2M x B).  `gstbc.batch`
+builds a block's compressed Gram and matched filter from one batched
+product instead, charges what those two stages charge
+(`_matched_filter_cost`, `_gram_cost`), and grows the same start
+(`_grow_workspace`).
 """
 
 from __future__ import annotations
@@ -192,8 +197,14 @@ def matched_filter(h, x) -> tuple:
             even += g2 * x2
             odd -= g1 * x2
         out += (even, odd)
-    charge(*cost(cmul=2 * n * two_m, cadd=(2 * n - 1) * two_m))
+    charge(*_matched_filter_cost(n, two_m // 2))
     return tuple(out)
+
+
+def _matched_filter_cost(n: int, m: int) -> tuple:
+    """(mults, adds) that `matched_filter` charges at N = n, M = m: 4Nm
+    complex mults and 2m(2N - 1) complex adds."""
+    return cost(cmul=4 * n * m, cadd=(2 * n - 1) * 2 * m)
 
 
 def init_gram(h, alpha: float) -> StructuredHermitianBlockMatrix:
@@ -232,12 +243,17 @@ def init_gram(h, alpha: float) -> StructuredHermitianBlockMatrix:
                     acc2 += t2
             row.append(_new_tuple(AlamoutiBlock, (acc1, acc2)))
         rows.append(tuple(row))
+    charge(*_gram_cost(n, m))
+    return sbm_from_rows(m, tuple(diag), tuple(rows))
+
+
+def _gram_cost(n: int, m: int) -> tuple:
+    """(mults, adds) that `init_gram` charges at N = n, M = m."""
     # per diagonal scalar 2N squared magnitudes and 2N real adds (alpha
     # included); per off-diagonal block 4N complex mults, 2N adds inside
     # the terms and 2(N - 1) to accumulate them
     blocks = m * (m - 1) // 2
-    charge(*cost(cabs2=2 * n * m, radd=2 * n * m, cmul=4 * n * blocks, cadd=(4 * n - 2) * blocks))
-    return sbm_from_rows(m, tuple(diag), tuple(rows))
+    return cost(cabs2=2 * n * m, radd=2 * n * m, cmul=4 * n * blocks, cadd=(4 * n - 2) * blocks)
 
 
 def _pivot_guard(value, scale, what):
@@ -477,13 +493,14 @@ def _start_workspace(h, x, alpha) -> DetectorWorkspace:
     """The recursion's starting state on checked input: the matched filter,
     the compressed Gram and its grown inverse, every layer in place.  One
     instance, or a block of instances stored batch-last (see `_front_end`)."""
-    m = h.layers
     z = matched_filter(h, x)
-    rbar = init_gram(h, alpha)
-    # over a block the gains are the largest array held;
-    # nothing below reads it
-    del h, x
-    return DetectorWorkspace(m, rbar, init_covariance(rbar), z, tuple(range(m)))
+    return _grow_workspace(init_gram(h, alpha), z)
+
+
+def _grow_workspace(rbar, z) -> DetectorWorkspace:
+    """The starting state from the compressed Gram `rbar` and the matched
+    filter `z`: the grown inverse, every layer in place."""
+    return DetectorWorkspace(rbar.m, rbar, init_covariance(rbar), z, tuple(range(rbar.m)))
 
 
 def _recurse(ws: DetectorWorkspace, slicer, ordered, record_trace):

@@ -10,8 +10,7 @@ import math
 import numpy as np
 
 from gstbc.alamouti import sbm_from_dense, sbm_to_dense
-from gstbc.batch import equivalent_channel_batch
-from gstbc.channel import ChannelMatrix, NoiseSpec, generate_channel, transmit
+from gstbc.channel import ChannelMatrix, NoiseSpec, equivalent_channel_batch, generate_channel, transmit
 from gstbc.complexity import (
     asymptotic_speedup,
     dsttd_speedup,

@@ -1,0 +1,76 @@
+"""Property tests of the batch route's front ends.
+
+`batch.PreparedBlock` builds the recursion's compressed Gram and matched
+filter and the dense Gram and matched filter from one product per chunk
+of instances.  Per instance, the compressed entries must match the
+counted scalar `init_gram` and `matched_filter` to rounding, and the dense
+Gram must be their exact Alamouti/Hermitian expansion.  Channels are drawn
+i.i.d. and exponentially correlated (Kronecker, rho up to 0.99), with M up
+to 8 and alpha down to 1e-9, where the Gram is nearly singular.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gstbc.batch import PreparedBlock
+from gstbc.channel import ChannelMatrix
+from gstbc.detectors import init_gram, matched_filter
+
+
+def _exp_corr_root(size, rho):
+    """A square root of the exponential correlation matrix rho^|i - j|."""
+    k = np.arange(size)
+    return np.linalg.cholesky(rho ** np.abs(k[:, None] - k[None, :]))
+
+
+@st.composite
+def blocks(draw):
+    """(h, x, alpha): a block of B gains (B, N, 2M) and samples (B, 2N)."""
+    m = draw(st.integers(1, 8))
+    n = m + draw(st.integers(0, 4))
+    count = draw(st.integers(1, 12))
+    rho_t, rho_r = draw(st.sampled_from([(0.0, 0.0), (0.9, 0.0), (0.0, 0.99), (0.99, 0.99), (0.7, 0.5)]))
+    alpha = 10.0 ** draw(st.floats(-9.0, 0.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = (rng.standard_normal((count, n, 2 * m)) + 1j * rng.standard_normal((count, n, 2 * m))) / np.sqrt(2)
+    h = _exp_corr_root(n, rho_r) @ w @ _exp_corr_root(2 * m, rho_t).T
+    x = rng.standard_normal((count, 2 * n)) + 1j * rng.standard_normal((count, 2 * n))
+    return np.ascontiguousarray(h), x, alpha
+
+
+def _expanded(rbar, b):
+    """Instance b's dense Gram written out from its compressed entries by
+    the Alamouti pattern: block (i, j) is [[a1, -conj(a2)], [a2, conj(a1)]],
+    block (j, i) its adjoint, and diagonal block i is diag_i I2."""
+    m = rbar.m
+    out = np.zeros((2 * m, 2 * m), dtype=np.complex128)
+    for i in range(m):
+        out[2 * i, 2 * i] = out[2 * i + 1, 2 * i + 1] = rbar.diag[i][b]
+        for j in range(i + 1, m):
+            a1, a2 = (e[b] for e in rbar.block(i, j))
+            out[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = [[a1, -np.conj(a2)], [a2, np.conj(a1)]]
+            out[2 * j : 2 * j + 2, 2 * i : 2 * i + 2] = [[np.conj(a1), np.conj(a2)], [-a2, a1]]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(blocks())
+def test_product_front_end_matches_the_scalar_stages(block):
+    h, x, alpha = block
+    count = len(h)
+    prepared = PreparedBlock(h, x, alpha)
+    rbar, z = prepared.compressed
+    g, zd = prepared.dense
+    for b in range(count):
+        want = init_gram(ChannelMatrix(h[b]), alpha)
+        want_z = matched_filter(ChannelMatrix(h[b]), x[b])
+        scale = max(want.diag)
+        assert max(abs(d[b] - e) for d, e in zip(rbar.diag, want.diag)) <= 1e-12 * scale, b
+        for got, ref in zip(rbar.upper, want.upper):
+            assert abs(got.a1[b] - ref.a1) <= 1e-12 * scale and abs(got.a2[b] - ref.a2) <= 1e-12 * scale, b
+        # |z_k| <= ||column k|| ||x||, so that bounds the filter's scale
+        z_scale = np.sqrt(scale) * np.linalg.norm(x[b])
+        assert max(abs(v[b] - e) for v, e in zip(z, want_z)) <= 1e-12 * z_scale, b
+        assert g[b].tobytes() == _expanded(rbar, b).tobytes(), b
+        assert zd[b].tobytes() == np.array([v[b] for v in z]).tobytes(), b
