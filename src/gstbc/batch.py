@@ -7,8 +7,9 @@ and soft values.
 
 Every engine reads its block through a `PreparedBlock`, which checks the
 block once and computes each front end on first use: the recursion's
-compressed Gram and matched filter and its starting state, the dense
-Gram with its matched filter, and that Gram's inverse.  A sweep builds
+compressed Gram and matched filter and its starting state, the Cholesky
+factor of the regularized Gram, that Gram's inverse, and the dense Gram
+with its matched filter.  A sweep builds
 one per slice of a drawn block (at most `sim.SLICE_SIZE` instances) and
 passes it as `prepared=` to every detector, so the front ends are
 computed once per slice and only one slice's are held; a call without it
@@ -22,20 +23,25 @@ two parts and a diagonal scalar are each a sum or difference of two
 entries of P, and so is each matched-filter entry: that is about half the
 dense Gram's products, and no equivalent channel is ever built.  The
 compressed entries are stored batch-last, one (B,) array each.  The dense
-Gram, built only when a dense reference asks for it, is their exact
-expansion, one gather per chunk.
+Gram is their exact expansion, one gather per chunk; only `_masked_sic`
+reads it, for its Gram columns.
 
 `proposed` and `fixed_order` run the counted recursion of
 `gstbc.detectors` itself over those (B,) entries, from `init_covariance`
 on; building the start charges what `matched_filter` and `init_gram`
 charge, so a `flop_scope` around an unprepared call counts one
-instance.  The dense references are whole-array numpy: `linear_mmse`
-solves once, and the two symbol-wise SIC references share `_masked_sic`,
-the batch twin of `detectors._dense_sic`, which downdates the block's
-inverse by rank one after each detected symbol.  It keeps the downdates
-as rank-one terms and applies them only to the (B, 2M) row, column and
-diagonal that the next step reads, so the shared inverse is never copied
-or rewritten.  Every engine slices to QPSK.
+instance.  The dense references share one factor, G = L L^H of the
+regularized Gram (`PreparedBlock.cholesky`), grown over (B,) entries read
+straight from the compressed ones, as the recursion's are; no LAPACK
+routine is called, since for the small Grams of a sweep its per-instance
+call costs more than the arithmetic.  `linear_mmse` is two triangular
+solves on that factor.  The two symbol-wise SIC references share
+`_masked_sic`, the batch twin of `detectors._dense_sic`, which downdates
+the block's inverse L^-H L^-1 (`PreparedBlock.dense_inverse`) by rank
+one after each detected symbol.  It keeps the downdates as rank-one terms
+and applies them only to the (B, 2M) row, column and diagonal that the
+next step reads, so the shared inverse is never copied or rewritten.
+Every engine slices to QPSK.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ import numpy as np
 
 from . import detectors
 from .alamouti import AlamoutiBlock, StructuredHermitianBlockMatrix
-from .errors import TIE_REL_TOL, SingularPivot
+from .errors import PIVOT_REL_TOL, TIE_REL_TOL, SingularPivot
 from .flops import charge
 from .modulation import qpsk_slice_array
 
@@ -116,11 +122,14 @@ class PreparedBlock:
     computed on first use and then kept for every later detector on the
     same block: `compressed`, the recursion's compressed regularized Gram
     and matched filter, built from one product per chunk of instances;
-    `workspace`, the recursion's starting state grown from them; `dense`,
-    the regularized Gram and matched filter of the equivalent channel,
-    expanded from the compressed ones; `dense_inverse`, that Gram's
-    inverse.  Detectors only read these; the arrays are marked read-only.
-    A Gram that LAPACK finds singular raises `SingularPivot`.
+    `workspace`, the recursion's starting state grown from them;
+    `cholesky`, the Gram's factor L L^H, read from the compressed entries,
+    which `linear_mmse` solves with; `dense_inverse`, the Gram's inverse
+    from that factor; `dense`, the regularized Gram and matched filter of
+    the equivalent channel, expanded from the compressed ones, whose Gram
+    columns the SIC references read.  Detectors only read these; the
+    arrays are marked read-only.  A Gram with a vanishing factor pivot
+    raises `SingularPivot`.
     """
 
     def __init__(self, h, x, alpha):
@@ -226,21 +235,107 @@ class PreparedBlock:
         return g, zd
 
     @cached_property
+    def cholesky(self) -> tuple:
+        """The factor G = L L^H of each instance's regularized Gram G, as
+        (rows, inv_diag): rows[i][k] is L[i, k] for k < i and inv_diag[i]
+        is 1 / L[i, i], each a (B,) array.
+
+        The factor is grown a column at a time (Crout order): with d_j =
+        G[j, j] - sum_k |L[j, k]|^2 the column's pivot, L[j, j] = sqrt(d_j)
+        and L[i, j] = (G[i, j] - sum_k L[i, k] conj(L[j, k])) / L[j, j] for
+        i > j.  G is never written out: each G[i, j] below the diagonal is
+        read from the compressed entries (`_gram_lower`), and G[j, j] is a
+        diagonal scalar.  A pivot at or below PIVOT_REL_TOL times the
+        instance's mean diagonal (the rule of `dense.gj_inverse_hpd`)
+        raises `SingularPivot` once every column is done, naming how many
+        instances failed.  A NaN or +inf pivot passes: it reaches the
+        estimates and the downdate pivots, whose guards name it.
+        """
+        rbar = self.compressed[0]
+        n, b = 2 * rbar.m, len(rbar.diag[0])
+        tol = PIVOT_REL_TOL * np.maximum(sum(rbar.diag) / rbar.m, 1e-300)
+        bad = np.zeros(b, dtype=bool)
+        # row i of L and its conjugate, grown one entry per column
+        rows = [[] for _ in range(n)]
+        conj_rows = [[] for _ in range(n)]
+        inv_diag = []
+        tmp = np.empty(b, dtype=np.complex128)
+        for j in range(n):
+            d = rbar.diag[j // 2].copy()
+            for x, cx in zip(rows[j], conj_rows[j]):
+                d -= np.multiply(x, cx, out=tmp).real
+            if not (d > tol).all():
+                # NaN and +inf pass; a failed pivot is set to 1 so that
+                # the other columns run quietly before the error
+                fail = (d <= tol) & (d < np.inf)
+                bad |= fail
+                d[fail] = 1.0
+            r = np.divide(1.0, np.sqrt(d, out=d), out=d)
+            inv_diag.append(r)
+            for i in range(j + 1, n):
+                acc = _gram_lower(rbar, i, j)
+                for x, cx in zip(rows[i], conj_rows[j]):
+                    acc -= np.multiply(x, cx, out=tmp)
+                acc *= r
+                rows[i].append(acc)
+                conj_rows[i].append(np.conjugate(acc))
+        if bad.any():
+            raise SingularPivot(f"regularized Gram is singular in {np.count_nonzero(bad)} of {b} instances")
+        for a in (*inv_diag, *(x for row in rows for x in row)):
+            a.flags.writeable = False
+        return tuple(map(tuple, rows)), tuple(inv_diag)
+
+    @cached_property
     def dense_inverse(self) -> np.ndarray:
-        g = self.dense[0]
-        try:
-            q = np.linalg.inv(g)
-        except np.linalg.LinAlgError as err:
-            raise _singular_gram(g) from err
+        """The regularized Gram's inverse G^-1 = L^-H L^-1 from `cholesky`,
+        batch-first (B, 2M, 2M).
+
+        W = L^-1 is lower triangular: W[c, c] = 1 / L[c, c] and, below it,
+        W[j, c] = -(sum_{c <= k < j} L[j, k] W[k, c]) / L[j, j].  Entry
+        (i, c), i <= c, of the inverse is sum_{j >= c} conj(W[j, i]) W[j, c]
+        and entry (c, i) its conjugate, so the diagonal is real.
+        """
+        rows, r = self.cholesky
+        n, b = len(r), len(r[0])
+        tmp = np.empty(b, dtype=np.complex128)
+        # w[c] is column c of W below the diagonal: w[c][j - c - 1] = W[j, c]
+        w = [[] for _ in range(n)]
+        for j in range(n):
+            for c in range(j):
+                acc = rows[j][c] * r[c]
+                for x, y in zip(rows[j][c + 1 :], w[c]):
+                    acc += np.multiply(x, y, out=tmp)
+                acc *= -r[j]
+                w[c].append(acc)
+        q = np.empty((b, n, n), dtype=np.complex128)
+        for i in range(n):
+            conj_col = [np.conjugate(x) for x in w[i]]
+            acc = r[i] * r[i]
+            for x, cx in zip(w[i], conj_col):
+                acc += np.multiply(x, cx, out=tmp).real
+            q[:, i, i] = acc
+            for c in range(i + 1, n):
+                acc = conj_col[c - i - 1] * r[c]
+                for x, y in zip(conj_col[c - i :], w[c]):
+                    acc += np.multiply(x, y, out=tmp)
+                q[:, i, c] = acc
+                np.conjugate(acc, out=q[:, c, i])
         q.flags.writeable = False
         return q
 
 
-def _singular_gram(g) -> SingularPivot:
-    """The error for a block of Grams that LAPACK could not factor: the
-    same LU finds a zero determinant in each singular instance."""
-    sign, _ = np.linalg.slogdet(g)
-    return SingularPivot(f"regularized Gram is singular in {np.count_nonzero(sign == 0)} of {len(g)} instances")
+def _gram_lower(rbar, i, j) -> np.ndarray:
+    """Entry (i, j), i > j, of the dense Gram whose compressed form is
+    `rbar`, as a new (B,) array.  It sits in the adjoint of upper block
+    (j // 2, i // 2), [[conj(a1), conj(a2)], [-a2, a1]], or is the zero
+    below a diagonal block's diagonal."""
+    (li, pi), (lj, pj) = divmod(i, 2), divmod(j, 2)
+    if li == lj:
+        return np.zeros(len(rbar.diag[0]), dtype=np.complex128)
+    a1, a2 = rbar.upper_rows()[lj][li - lj - 1]
+    if pj == 0:
+        return np.conjugate(a1) if pi == 0 else np.negative(a2)
+    return np.conjugate(a2) if pi == 0 else a1.copy()
 
 
 def _prepare(h, x, alpha, prepared) -> PreparedBlock:
@@ -270,11 +365,27 @@ def detect_fixed_order_batch(h, x, alpha, prepared=None) -> BatchDetection:
 
 def detect_linear_mmse_batch(h, x, alpha, prepared=None) -> BatchDetection:
     """Batched mirror of `detectors.detect_linear_mmse`."""
-    g, z = _prepare(h, x, alpha, prepared).dense
-    try:
-        soft = np.linalg.solve(g, z[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError as err:
-        raise _singular_gram(g) from err
+    block = _prepare(h, x, alpha, prepared)
+    rows, r = block.cholesky
+    z = block.compressed[1]
+    n, b = len(r), len(r[0])
+    tmp = np.empty(b, dtype=np.complex128)
+    # L y = z, then L^H s = y for conj(s), over y in place: conj(s)[j] =
+    # (conj(y[j]) - sum_{k > j} L[k, j] conj(s)[k]) / L[j, j]
+    y = []
+    for j in range(n):
+        acc = z[j].copy()
+        for l_jk, y_k in zip(rows[j], y):
+            acc -= np.multiply(l_jk, y_k, out=tmp)
+        acc *= r[j]
+        y.append(acc)
+    soft = np.empty((b, n), dtype=np.complex128)
+    for j in reversed(range(n)):
+        acc = np.conjugate(y[j], out=y[j])
+        for k in range(j + 1, n):
+            acc -= np.multiply(rows[k][j], y[k], out=tmp)
+        acc *= r[j]
+        np.conjugate(acc, out=soft[:, j])
     ok = np.isfinite(soft).all(axis=1)
     if not ok.all():
         detectors._block_guard(ok, "linear MMSE estimate is not finite", np.abs(soft).max(axis=1), np.max)

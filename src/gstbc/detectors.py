@@ -37,10 +37,9 @@ output (`_scatter`) tell the two apart.
 The recursion comes in two halves, the starting state and the layer loop
 (`_recurse`), so that every detector on one block can start from the same
 state.  One instance starts from `matched_filter` and `init_gram`
-(`_start_workspace`), which check their input as `_check_input` does and
-also take a block's gains stored batch-last (N x 2M x B).  `gstbc.batch`
-builds a block's compressed Gram and matched filter from one batched
-product instead, charges what those two stages charge
+(`_start_workspace`), which check their input as `_check_input` does.
+`gstbc.batch` builds a block's compressed Gram and matched filter from
+one batched product instead, charges what those two stages charge
 (`_matched_filter_cost`, `_gram_cost`), and grows the same start
 (`_grow_workspace`).
 """
@@ -151,24 +150,12 @@ def _check_input(g, x, alpha, lead: int) -> None:
     _check_finite(g, x)
 
 
-def _check_instance(h, x, alpha: float):
-    """Check one instance; return its gains and samples as arrays."""
-    g, xv = np.asarray(h.gains), _as_array(x)
+def _check_instance(h, x, alpha):
+    """Check one instance; return its gains (N x 2M) and samples as
+    arrays, the samples None if not taken."""
+    g, xv = np.asarray(h.gains), (None if x is None else _as_array(x))
     _check_input(g, xv, alpha, 0)
     return g, xv
-
-
-def _front_end(h, x, alpha):
-    """Checked gains (N x 2M), samples (None if not taken) and the entry
-    conversion: Python numbers for one instance, (B,) arrays for a
-    batch-last block (N x 2M x B, samples 2N x B, checked batch-first)."""
-    g, xv = np.asarray(h.gains), (None if x is None else _as_array(x))
-    if g.ndim == 3:
-        _check_shapes(np.moveaxis(g, -1, 0), None if x is None else xv.T, alpha, 1)
-    else:
-        _check_shapes(g, xv, alpha, 0)
-    _check_finite(g, xv)
-    return g, xv, (np.asarray if g.ndim == 3 else np.ndarray.tolist)
 
 
 def matched_filter(h, x) -> tuple:
@@ -178,10 +165,10 @@ def matched_filter(h, x) -> tuple:
     symbol 2i sums conj(h[r,2i]) x[2r] + h[r,2i+1] x[2r+1], and symbol
     2i+1 sums conj(h[r,2i+1]) x[2r] - h[r,2i] x[2r+1].
     """
-    g, xv, entries = _front_end(h, x, None)
+    g, xv = _check_instance(h, x, None)
     # the gains by column, over the antennas
-    cols = entries(g.swapaxes(0, 1))
-    xs = entries(xv)
+    cols = g.swapaxes(0, 1).tolist()
+    xs = xv.tolist()
     n, two_m = g.shape[:2]
     out = []
     # symbol 2i adds its partner's term, symbol 2i+1 subtracts it
@@ -215,12 +202,12 @@ def init_gram(h, alpha: float) -> StructuredHermitianBlockMatrix:
     Alamouti, so only those parts are ever computed: per off-diagonal
     block 4N complex mults, per diagonal scalar 4N real mults.
     """
-    g, _, entries = _front_end(h, None, alpha)
+    g, _ = _check_instance(h, None, alpha)
     m = g.shape[1] // 2
     n = g.shape[0]
     # gains and conjugates by column (layer i: 2i and 2i + 1) over antennas
-    cols = entries(g.swapaxes(0, 1))
-    conj = entries(g.conj().swapaxes(0, 1))
+    cols = g.swapaxes(0, 1).tolist()
+    conj = g.conj().swapaxes(0, 1).tolist()
     diag = []
     for i in range(m):
         acc = None
@@ -490,9 +477,9 @@ def _scatter(steps, n_sym):
 
 
 def _start_workspace(h, x, alpha) -> DetectorWorkspace:
-    """The recursion's starting state on checked input: the matched filter,
-    the compressed Gram and its grown inverse, every layer in place.  One
-    instance, or a block of instances stored batch-last (see `_front_end`)."""
+    """One instance's starting state for the recursion, on checked input:
+    the matched filter, the compressed Gram and its grown inverse, every
+    layer in place."""
     z = matched_filter(h, x)
     return _grow_workspace(init_gram(h, alpha), z)
 

@@ -6,14 +6,7 @@ from gstbc.batch import PreparedBlock, detect_fixed_order_batch, detect_gstbc_ba
 from gstbc.alamouti import AlamoutiBlock, StructuredHermitianBlockMatrix, sbm_swap_blocks, sbm_to_dense
 from gstbc.channel import ChannelMatrix, equivalent_channel_batch
 from gstbc.complexity import cost_recursive
-from gstbc.detectors import (
-    SCALAR_DETECTORS,
-    DetectorWorkspace,
-    init_covariance,
-    init_gram,
-    matched_filter,
-    permute_workspace,
-)
+from gstbc.detectors import SCALAR_DETECTORS, permute_workspace
 from gstbc.errors import TIE_REL_TOL, InvalidDimensions, NonPositiveAlpha, SingularPivot
 from gstbc.flops import FlopCounter, flop_scope
 from gstbc.sim import DETECTORS as BATCH_PAIRS
@@ -132,6 +125,26 @@ def test_batch_rejects_a_block_without_receive_antennas():
             fn(h, x, alpha=0.1)
 
 
+@pytest.mark.parametrize("layers, n_rx", [(1, 1), (2, 8), (4, 4)])
+def test_empty_block_returns_empty_results(layers, n_rx):
+    h = np.zeros((0, n_rx, 2 * layers), dtype=np.complex128)
+    x = np.zeros((0, 2 * n_rx), dtype=np.complex128)
+    for name, fn in BATCH_PAIRS.items():
+        out = fn(h, x, alpha=0.1)
+        assert out.decisions.shape == out.soft.shape == (0, 2 * layers), name
+
+
+def test_linear_mmse_builds_no_dense_front_end():
+    # the linear equalizer solves with the factor alone; only the SIC
+    # references need the dense Gram and the inverse
+    rng = np.random.default_rng(61)
+    h, _, x = random_batch(rng, 5, 3, 4, 0.1)
+    block = PreparedBlock(h, x, 0.1)
+    batch.detect_linear_mmse_batch(h, x, 0.1, prepared=block)
+    assert "cholesky" in vars(block)
+    assert "dense" not in vars(block) and "dense_inverse" not in vars(block)
+
+
 def test_batch_single_instance_shapes():
     rng = np.random.default_rng(46)
     h, _, x = random_batch(rng, 1, 4, 6, 0.1)
@@ -214,12 +227,10 @@ def test_batch_guard_counts_failing_instances():
 
 
 def test_permute_workspace_rejects_bad_block_indices():
-    # the per-instance swap of a batch-last workspace checks every index
+    # the per-instance swap of a block's workspace checks every index
     rng = np.random.default_rng(52)
     h, _, x = random_batch(rng, 4, 3, 3, 0.1)
-    hp = ChannelMatrix(np.ascontiguousarray(h.transpose(1, 2, 0)))
-    rbar = init_gram(hp, 0.1)
-    ws = DetectorWorkspace(3, rbar, init_covariance(rbar), matched_filter(hp, x.T), (0, 1, 2))
+    ws = PreparedBlock(h, x, 0.1).workspace
     for bad in (0, 1, 3, 8):
         index = np.full(4, 2)
         index[2] = bad
@@ -227,12 +238,8 @@ def test_permute_workspace_rejects_bad_block_indices():
             permute_workspace(ws, index)
 
 
-def _batch_last(h):
-    return ChannelMatrix(np.ascontiguousarray(h.transpose(1, 2, 0)))
-
-
 def _instance(a, b):
-    """Instance b of a batch-last compressed matrix, as Python numbers."""
+    """Instance b of a block's compressed matrix, as Python numbers."""
     return StructuredHermitianBlockMatrix(
         a.m,
         tuple(d[b].item() for d in a.diag),
@@ -245,13 +252,12 @@ def _same_bits(x, y):
 
 
 def test_front_end_reads_the_gains():
-    # on a batch-last block the matched filter and the Gram are, per
+    # over a block the compressed matched filter and Gram are, per
     # instance, H'^H x' and H'^H H' + alpha I of the equivalent channel
     rng = np.random.default_rng(53)
     h, _, x = random_batch(rng, 6, 3, 4, 0.1)
     hp = equivalent_channel_batch(h)
-    z = matched_filter(_batch_last(h), x.T)
-    rbar = init_gram(_batch_last(h), 0.1)
+    rbar, z = PreparedBlock(h, x, 0.1).compressed
     for b in range(6):
         dense = np.conj(hp[b]).T
         assert np.allclose([v[b] for v in z], dense @ x[b], rtol=1e-13, atol=1e-13)
@@ -265,9 +271,8 @@ def test_block_swap_matches_scalar_swap():
     rng = np.random.default_rng(54)
     m, count = 4, 40
     h, _, x = random_batch(rng, count, m, 4, 0.1)
-    rbar = init_gram(_batch_last(h), 0.1)
-    z = matched_filter(_batch_last(h), x.T)
-    ws = DetectorWorkspace(m, rbar, init_covariance(rbar), z, tuple(range(m)))
+    ws = PreparedBlock(h, x, 0.1).workspace
+    rbar, z = ws.Rbar, ws.z
     k = rng.integers(0, m, size=count)
     k[:m] = np.arange(m)
     swapped = permute_workspace(ws, 2 * (k + 1))

@@ -202,34 +202,28 @@ def test_input_validation():
 
 def test_stage_functions_check_their_input():
     # matched_filter and init_gram, called directly, reject what
-    # _check_input rejects, on one instance and on a batch-last block
+    # _check_input rejects on one instance, and a block of gains
     rng = np.random.default_rng(34)
     h, _, x = random_instance(rng, 2, 2)
     g, xv = np.asarray(h.gains), np.asarray(x.entries)
     gb, xb = np.stack([g, 2 * g, 3 * g], axis=-1), np.stack([xv, xv, -xv], axis=-1)
-    # (g[None] would read as a block of N = 1 with 2M = 2)
     bad_gains = [g[0], g[:, :3], g[:0], g[:, :0], _poisoned(g, (1, 2), np.nan), _poisoned(g, (0, 3), np.inf),
-                 gb[:, :3], gb[:0], gb[:, :0], gb[None], _poisoned(gb, (1, 2, 0), np.nan)]
+                 g[None], gb, gb[:, :3], gb[:0], gb[:, :0], gb[None], _poisoned(gb, (1, 2, 0), np.nan)]
     for gains in bad_gains:
         with pytest.raises(InvalidDimensions, match="N x 2M|finite"):
             init_gram(ChannelMatrix(gains), 0.1)
         samples = xb if gains.ndim == 3 else xv
         with pytest.raises(InvalidDimensions, match="N x 2M|finite"):
             matched_filter(ChannelMatrix(gains), samples[: 2 * len(gains)] if gains.ndim > 1 else samples)
-    for gains, samples in ((g, xv[:3]), (g, xv[None]), (g, _poisoned(xv, 1, np.nan)),
-                           (gb, xb[:3]), (gb, xv), (gb, _poisoned(xb, (2, 1), -np.inf))):
+    for samples in (xv[:3], xv[None], _poisoned(xv, 1, np.nan)):
         with pytest.raises(InvalidDimensions, match="2N|finite"):
-            matched_filter(ChannelMatrix(gains), samples)
-    for gains in (g, gb):
-        for alpha in (0.0, -1.0, np.nan, np.inf):
-            with pytest.raises(NonPositiveAlpha):
-                init_gram(ChannelMatrix(gains), alpha)
+            matched_filter(h, samples)
+    for alpha in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(NonPositiveAlpha):
+            init_gram(h, alpha)
     # 1-D gains of length 4 are not read as N = 4
     with pytest.raises(InvalidDimensions, match="N x 2M with N, M >= 1, got \\(4,\\)"):
         matched_filter(ChannelMatrix(g[0]), xv[:2])
-    # the good block passes, and its entries are (B,) arrays
-    assert init_gram(ChannelMatrix(gb), 0.1).diag[0].shape == (3,)
-    assert matched_filter(ChannelMatrix(gb), xb)[0].shape == (3,)
 
 
 def test_flop_counts_are_input_independent():

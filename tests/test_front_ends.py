@@ -4,17 +4,20 @@
 filter and the dense Gram and matched filter from one product per chunk
 of instances.  Per instance, the compressed entries must match the
 counted scalar `init_gram` and `matched_filter` to rounding, and the dense
-Gram must be their exact Alamouti/Hermitian expansion.  Channels are drawn
-i.i.d. and exponentially correlated (Kronecker, rho up to 0.99), with M up
-to 8 and alpha down to 1e-9, where the Gram is nearly singular.
+Gram must be their exact Alamouti/Hermitian expansion.  The batch
+`linear_mmse` estimate and the inverse, both from the dense references'
+Cholesky factor, must match numpy's LAPACK solve and inverse of the same
+Gram to within a stated multiple of n eps kappa.  Channels are drawn
+i.i.d. and exponentially correlated (Kronecker, rho up to 0.99), with M
+up to 8 and alpha down to 1e-9, where the Gram is nearly singular.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gstbc.batch import PreparedBlock
-from gstbc.channel import ChannelMatrix
+from gstbc.batch import PreparedBlock, detect_linear_mmse_batch
+from gstbc.channel import ChannelMatrix, equivalent_channel_batch
 from gstbc.detectors import init_gram, matched_filter
 
 
@@ -74,3 +77,27 @@ def test_product_front_end_matches_the_scalar_stages(block):
         assert max(abs(v[b] - e) for v, e in zip(z, want_z)) <= 1e-12 * z_scale, b
         assert g[b].tobytes() == _expanded(rbar, b).tobytes(), b
         assert zd[b].tobytes() == np.array([v[b] for v in z]).tobytes(), b
+
+
+# the batch factor and LAPACK each round the Gram and the solve
+# differently; a relative difference of up to kappa n eps follows, and
+# the largest seen over 1,900 draws was 2.4 n eps kappa
+FACTOR_ERR = 10.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(blocks())
+def test_factor_solve_and_inverse_match_lapack(block):
+    h, x, alpha = block
+    prepared = PreparedBlock(h, x, alpha)
+    soft = detect_linear_mmse_batch(h, x, alpha, prepared=prepared).soft
+    q = prepared.dense_inverse
+    hp = equivalent_channel_batch(h)
+    n = hp.shape[-1]
+    for b in range(len(h)):
+        g = np.conj(hp[b]).T @ hp[b] + alpha * np.eye(n)
+        bound = FACTOR_ERR * n * np.finfo(float).eps * np.linalg.cond(g)
+        want = np.linalg.solve(g, np.conj(hp[b]).T @ x[b])
+        assert np.linalg.norm(soft[b] - want) <= bound * np.linalg.norm(want), b
+        want_q = np.linalg.inv(g)
+        assert np.linalg.norm(q[b] - want_q, 2) <= bound * np.linalg.norm(want_q, 2), b

@@ -2,7 +2,7 @@
 
 Each kernel in `gstbc.alamouti` must equal, bit for bit and count for
 count, the per-block helper composition it stands for, on Python numbers
-(one instance) and on (B,) arrays (a batch-last block), for m = 1..8.
+(one instance) and on (B,) arrays (a block of B instances), for m = 1..8.
 Entries are drawn with signed zeros and exact ties among them, where a
 regrouped sum or a dropped sign would show.
 """
@@ -26,6 +26,7 @@ from gstbc.alamouti import (
     sbm_sub_outer,
     sbm_swap_blocks,
 )
+from gstbc.batch import PreparedBlock
 from gstbc.channel import ChannelMatrix
 from gstbc.detectors import (
     DetectorWorkspace,
@@ -243,11 +244,11 @@ def test_recurse_leaves_its_start_unchanged(m, extra, seed):
     # what it allocated itself
     rng = np.random.default_rng(seed)
     n = m + extra
-    g = rng.standard_normal((n, 2 * m, B)) + 1j * rng.standard_normal((n, 2 * m, B))
-    x = rng.standard_normal((2 * n, B)) + 1j * rng.standard_normal((2 * n, B))
-    starts = [(ChannelMatrix(g[..., 0]), x[:, 0], qpsk_slice), (ChannelMatrix(g), x, qpsk_slice_array)]
-    for h, xs, slicer in starts:
-        ws = _start_workspace(h, xs, 0.3)
+    g = rng.standard_normal((B, n, 2 * m)) + 1j * rng.standard_normal((B, n, 2 * m))
+    x = rng.standard_normal((B, 2 * n)) + 1j * rng.standard_normal((B, 2 * n))
+    starts = [(_start_workspace(ChannelMatrix(g[0]), x[0], 0.3), qpsk_slice),
+              (PreparedBlock(g, x, 0.3).workspace, qpsk_slice_array)]
+    for ws, slicer in starts:
         before = snapshot(ws)
         for ordered in (True, False):
             _recurse(ws, slicer, ordered, record_trace=True)
