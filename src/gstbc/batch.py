@@ -8,23 +8,21 @@ and soft values.
 Every engine reads its block through a `PreparedBlock`, which checks the
 block once and computes each front end on first use: the recursion's
 compressed Gram and matched filter and its starting state, the Cholesky
-factor of the regularized Gram, that Gram's inverse, and the dense Gram
-with its matched filter.  A sweep builds
+factor of the regularized Gram, and that Gram's inverse.  A sweep builds
 one per slice of a drawn block (at most `sim.SLICE_SIZE` instances) and
 passes it as `prepared=` to every detector, so the front ends are
 computed once per slice and only one slice's are held; a call without it
 builds its own, so both calls run the same code.
 
-Both front ends come from one batched product per chunk of instances
+The compressed entries come from one batched product per chunk of instances
 (`CHUNK_BYTES` of gains each), P = h^T conj([h | x1 | conj(x2)]) with
 x1, x2 the two slots' samples.  The column-pair orthogonality of the
 equivalent channel makes every block of its Gram Alamouti, so a block's
 two parts and a diagonal scalar are each a sum or difference of two
 entries of P, and so is each matched-filter entry: that is about half the
 dense Gram's products, and no equivalent channel is ever built.  The
-compressed entries are stored batch-last, one (B,) array each.  The dense
-Gram is their exact expansion, one gather per chunk; only `_masked_sic`
-reads it, for its Gram columns.
+compressed entries are stored batch-last, one (B,) array each, and every
+other front end is built from them.
 
 `proposed` and `fixed_order` run the counted recursion of
 `gstbc.detectors` itself over those (B,) entries, from `init_covariance`
@@ -36,11 +34,13 @@ straight from the compressed ones, as the recursion's are; no LAPACK
 routine is called, since for the small Grams of a sweep its per-instance
 call costs more than the arithmetic.  `linear_mmse` is two triangular
 solves on that factor.  The two symbol-wise SIC references share
-`_masked_sic`, the batch twin of `detectors._dense_sic`, which downdates
-the block's inverse L^-H L^-1 (`PreparedBlock.dense_inverse`) by rank
-one after each detected symbol.  It keeps the downdates as rank-one terms
-and applies them only to the (B, 2M) row, column and diagonal that the
-next step reads, so the shared inverse is never copied or rewritten.
+`_masked_sic`, which makes the decisions of `detectors._dense_sic`
+without re-inverting: it forms the estimates u = Q z once from the
+block's inverse Q = L^-H L^-1 (`PreparedBlock.dense_inverse`) and, after
+each detected symbol, downdates Q by rank one and updates u through the
+same column of Q.  It keeps the downdates as rank-one terms and applies
+them only to the (B, 2M) column and diagonal that the next step reads, so
+the shared inverse is never copied or rewritten and no Gram is read.
 Every engine slices to QPSK.
 """
 
@@ -58,9 +58,10 @@ from .flops import charge
 from .modulation import qpsk_slice_array
 
 # bytes of gains per chunk of instances when a block's front ends are
-# built: the chunk's conjugated gains, its product and its dense Gram then
-# stay in a 2 MiB L2 cache.  Of 32 KiB to 1 MiB, this built both front
-# ends within 10% of the fastest at (2, 8), (4, 4), (8, 8) and (16, 16)
+# built: the chunk's conjugated gains and its product then stay in a 2 MiB
+# L2 cache.  Of 32 KiB to 1 MiB, this built the compressed entries and a
+# dense Gram expanded from them within 10% of the fastest at (2, 8),
+# (4, 4), (8, 8) and (16, 16)
 CHUNK_BYTES = 128 * 1024
 
 
@@ -93,27 +94,6 @@ def _product_index(m: int) -> tuple:
     return np.concatenate(groups), [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def _expansion_index(m: int) -> np.ndarray:
-    """The dense Gram (2M x 2M, flattened) as a gather from the row
-    [a1 | a2 | -a2 | conj(a1) | conj(a2) | -conj(a2) | diag | 0] of one
-    instance's compressed entries: block (i, j), i < j, is
-    [[a1, -conj(a2)], [a2, conj(a1)]], block (j, i) its adjoint, and
-    diagonal block i is diag_i I2."""
-    i, j = np.triu_indices(m, 1)
-    pair, n_up = np.arange(len(i)), len(i)
-    layer = np.arange(m)
-    index = np.empty((2 * m, 2 * m), dtype=np.intp)
-    index[2 * i, 2 * j] = index[2 * j + 1, 2 * i + 1] = pair
-    index[2 * i + 1, 2 * j] = n_up + pair
-    index[2 * j + 1, 2 * i] = 2 * n_up + pair
-    index[2 * j, 2 * i] = index[2 * i + 1, 2 * j + 1] = 3 * n_up + pair
-    index[2 * j, 2 * i + 1] = 4 * n_up + pair
-    index[2 * i, 2 * j + 1] = 5 * n_up + pair
-    index[2 * layer, 2 * layer] = index[2 * layer + 1, 2 * layer + 1] = 6 * n_up + layer
-    index[2 * layer, 2 * layer + 1] = index[2 * layer + 1, 2 * layer] = 6 * n_up + m
-    return index.reshape(-1)
-
-
 class PreparedBlock:
     """One checked block and the front ends its detectors share.
 
@@ -125,11 +105,9 @@ class PreparedBlock:
     `workspace`, the recursion's starting state grown from them;
     `cholesky`, the Gram's factor L L^H, read from the compressed entries,
     which `linear_mmse` solves with; `dense_inverse`, the Gram's inverse
-    from that factor; `dense`, the regularized Gram and matched filter of
-    the equivalent channel, expanded from the compressed ones, whose Gram
-    columns the SIC references read.  Detectors only read these; the
-    arrays are marked read-only.  A Gram with a vanishing factor pivot
-    raises `SingularPivot`.
+    from that factor, which the SIC references downdate.  Detectors only
+    read these; the arrays are marked read-only.  A Gram with a vanishing
+    factor pivot raises `SingularPivot`.
     """
 
     def __init__(self, h, x, alpha):
@@ -203,36 +181,6 @@ class PreparedBlock:
         charge(*detectors._matched_filter_cost(n, rbar.m))
         charge(*detectors._gram_cost(n, rbar.m))
         return detectors._grow_workspace(rbar, z)
-
-    @cached_property
-    def dense(self) -> tuple:
-        """Regularized Gram H'^H H' + alpha I and matched filter H'^H x'.
-
-        The Gram is the compressed one written out (`_expansion_index`) a
-        chunk of instances at a time, so each of its entries is bit for
-        bit a compressed entry, its conjugate, its negation or zero; the
-        matched filter is the compressed one batch-first.
-        """
-        diag, a1, a2, z = self._entries
-        (m, b), n_up = diag.shape, len(a1)
-        step = _chunk_len(self.h)
-        index = _expansion_index(m)
-        g = np.empty((b, 4 * m * m), dtype=np.complex128)
-        row = np.zeros((min(step, b), 6 * n_up + m + 1), dtype=np.complex128)
-        for lo in range(0, b, step):
-            r = row[: min(step, b - lo)]
-            r[:, :n_up] = a1[:, lo : lo + step].T
-            r[:, n_up : 2 * n_up] = a2[:, lo : lo + step].T
-            np.negative(r[:, n_up : 2 * n_up], out=r[:, 2 * n_up : 3 * n_up])
-            np.conjugate(r[:, : 3 * n_up], out=r[:, 3 * n_up : 6 * n_up])
-            r[:, 6 * n_up : 6 * n_up + m] = diag[:, lo : lo + step].T
-            # the indices are in range: "clip" skips the bounds check and
-            # the copy of `out` that numpy makes for it
-            np.take(r, index, axis=1, out=g[lo : lo + step], mode="clip")
-        g = g.reshape(b, 2 * m, 2 * m)
-        zd = np.ascontiguousarray(z.T)
-        g.flags.writeable = zd.flags.writeable = False
-        return g, zd
 
     @cached_property
     def cholesky(self) -> tuple:
@@ -395,39 +343,39 @@ def detect_linear_mmse_batch(h, x, alpha, prepared=None) -> BatchDetection:
 def _masked_sic(block, groupwise):
     """Dense MMSE-SIC over all 2M symbols with one inverse per block.
 
-    The block's regularized Gram G is inverted once.  At each step the
-    chosen symbol j is estimated from row j of the current inverse Q and
-    the running matched filter z, sliced, and cancelled through the Gram
-    column, z -= G[:, j] d.  Q is then downdated by rank one,
-    Q <- Q - v w^T with v = Q[:, j] and w = conj(v) / q_jj, which leaves
-    the inverse of G without row and column j (the dense form of
-    `deflate_covariance`); the detected symbol drops out.
+    The block's regularized Gram G is inverted once, and u = Q z, the
+    MMSE estimates of the undetected symbols from the current inverse Q
+    and the matched filter z, is formed once.  At each step the chosen
+    symbol j is estimated as y = u[j] and sliced to d.  Q is then
+    downdated by rank one, Q <- Q - v w^T with v = Q[:, j] and w =
+    conj(v) / q_jj, which leaves the inverse of G without row and column j
+    (the dense form of `deflate_covariance`), and the estimates follow with
+    u -= v (y - d) / q_jj.  That is exactly cancelling d through the Gram
+    column, z -= G[:, j] d, and re-estimating: from G Q = I, the downdated
+    inverse times G[:, j] is -v / q_jj.  The detected symbol drops out.
 
     Q itself is never formed.  Each downdate is kept as its term (v, w),
-    and a step builds only what it reads: row j and column j, gathered
-    from the block's inverse with the terms applied oldest first, and the
-    diagonal, updated after every downdate.  A live entry (i, k) thus goes
-    through the same subtractions, in the same order, as in a Q downdated
-    in full, so the results are bitwise those of that form; the row read
-    for an estimate holds zeros at the detected symbols, as a Q with their
-    rows and columns zeroed would.  The last symbol needs no downdate.
+    and a step builds only what it reads: column j, gathered from the
+    block's inverse with the terms applied oldest first, and the diagonal,
+    updated after every downdate.  A live entry (i, k) thus goes through
+    the same subtractions, in the same order, as in a Q downdated in full,
+    so the order and the downdates are bitwise those of that form.  The
+    last symbol needs no downdate.
 
     `groupwise` takes the layer with the smallest second-symbol diagonal,
     its second symbol first, then its first symbol.  Otherwise the best
     remaining symbol goes next, diagonals within TIE_REL_TOL of the
     minimum tying to the lowest index, as in the scalar reference.
     """
-    g, z = block.dense
     q = block.dense_inverse
-    z = z.copy()
-    b, two_m = z.shape
+    u = np.einsum("bik,kb->bi", q, np.asarray(block.compressed[1]))
+    b, two_m = u.shape
     rows = np.arange(b)
     idx = np.arange(two_m)
-    # flat offsets into the (B, 2M, 2M) arrays: instance b's column 0, and
-    # instance b's row 0 counted in rows of 2M
+    # flat offsets into the (B, 2M, 2M) inverse of instance b's column 0,
+    # and into a (B, 2M) array of instance b's entry 0
     col_0 = (rows * two_m * two_m)[:, None] + idx * two_m
     row_0 = rows * two_m
-    q_rows = q.reshape(b * two_m, two_m)
     qdiag = q.diagonal(axis1=1, axis2=2).copy()
     live = np.ones((b, two_m), dtype=bool)
     v_terms = np.empty((two_m - 1, b, two_m), dtype=np.complex128)
@@ -445,29 +393,23 @@ def _masked_sic(block, groupwise):
             near = reduce(np.minimum, diag.T)[:, None] * (1.0 + TIE_REL_TOL)
             j = np.argmax(diag <= near, axis=1)
         at_j = row_0 + j
-        col_j = col_0 + j[:, None]
-        row = np.take(q_rows, at_j, axis=0)
-        v_j = v_terms[:step, rows, j]
-        for t in range(step):
-            row -= v_j[t][:, None] * w_terms[t]
-        row[~live] = 0
-        y = np.einsum("bk,bk->b", row, z)
+        y = u.reshape(-1)[at_j]
         d = qpsk_slice_array(y)
         decisions.reshape(-1)[at_j] = d
         soft.reshape(-1)[at_j] = y
-        z -= g.reshape(-1)[col_j] * d[:, None]
         qjj = np.real(qdiag.reshape(-1)[at_j])
         detectors._block_guard(qjj > 0, "downdate pivot is not positive", qjj, np.min)
         if step == two_m - 1:
             break
         v = v_terms[step]
-        np.take(q.reshape(-1), col_j, out=v)
+        np.take(q.reshape(-1), col_0 + j[:, None], out=v)
         w_j = w_terms[:step, rows, j]
         for t in range(step):
             v -= v_terms[t] * w_j[t][:, None]
         w = w_terms[step]
         np.divide(np.conj(v), qjj[:, None], out=w)
         qdiag -= v * w
+        u -= v * ((y - d) / qjj)[:, None]
         live.reshape(-1)[at_j] = False
     return BatchDetection(decisions, soft)
 

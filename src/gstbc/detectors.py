@@ -568,8 +568,8 @@ def detect_linear_mmse(h, x, alpha: float) -> DetectionResult:
 
 
 def _dense_sic(h, x, alpha: float, groupwise: bool) -> DetectionResult:
-    """Dense MMSE-SIC, one symbol per step; the counted twin of
-    `batch._masked_sic`.
+    """Dense MMSE-SIC, one symbol per step, counted.  `batch._masked_sic`
+    makes the same decisions over a block by downdating one inverse.
 
     `active` lists the undetected symbols.  Each step inverts the
     regularized Gram of their columns afresh, estimates one symbol from

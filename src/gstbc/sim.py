@@ -18,8 +18,8 @@ against `qpsk_demap` of the decisions.
 A drawn block is detected a slice of at most SLICE_SIZE instances at a
 time.  Each slice is wrapped once in a `batch.PreparedBlock`, so the
 detectors share its checks and front ends (the recursion's starting
-state, the dense Gram and matched filter, the Gram's inverse) instead of
-each rebuilding them, and its front ends are dropped before the next
+state, the Gram's Cholesky factor and its inverse) instead of each
+rebuilding them, and its front ends are dropped before the next
 slice; the drawn block is dropped before the next draw.  Every detector
 treats each instance on its own, so the records do not depend on the
 slicing, and a sweep's memory is bounded by one drawn block's gains and
@@ -93,17 +93,24 @@ class SimConfig:
             raise ConfigInvalid(
                 f"need n_rx >= layers >= 1, got layers={self.layers} n_rx={self.n_rx}"
             )
-        if not self.snr_db:
-            raise ConfigInvalid("snr_db grid must be nonempty")
         try:
-            noise = [sigma_n2_for_snr(v, self.sigma_s2) for v in self.snr_db]
+            noise = [float(sigma_n2_for_snr(v, self.sigma_s2)) for v in self.snr_db]
         except (OverflowError, ZeroDivisionError):
             noise = [math.nan]
+        except TypeError:
+            raise ConfigInvalid(f"snr_db must be a sequence of real numbers, got {self.snr_db!r}") from None
+        if not noise:
+            raise ConfigInvalid("snr_db grid must be nonempty")
         if not all(0 < v < math.inf for v in noise):
             raise ConfigInvalid(f"snr_db values must give a noise variance and alpha finite and > 0, got {self.snr_db}")
+        try:
+            if isinstance(self.detectors, str):
+                raise TypeError
+            unknown = [d for d in self.detectors if d not in DETECTORS]
+        except TypeError:
+            raise ConfigInvalid(f"detectors must be a sequence of names, got {self.detectors!r}") from None
         if not self.detectors:
             raise ConfigInvalid("detectors must name at least one detector")
-        unknown = [d for d in self.detectors if d not in DETECTORS]
         if unknown:
             raise ConfigInvalid(f"unknown detectors: {unknown}; known: {sorted(DETECTORS)}")
         if len(set(self.detectors)) != len(self.detectors):

@@ -44,6 +44,23 @@ def test_config_validation():
             SimConfig(**{"layers": 1, "n_rx": 1, **bad})
 
 
+@pytest.mark.parametrize("snr_db", [5.0, 0.0, ("a",), (None,), (0.0, None), (1j,), "5"])
+def test_config_rejects_a_grid_of_non_numbers(snr_db):
+    # a scalar or a non-number is named as a bad grid, not left to fail
+    # as a TypeError inside the noise formula
+    with pytest.raises(ConfigInvalid, match="snr_db must be a sequence of real numbers"):
+        SimConfig(layers=1, n_rx=1, snr_db=snr_db)
+
+
+@pytest.mark.parametrize("detectors", ["proposed", 5, (["proposed"],)])
+def test_config_rejects_detectors_that_are_not_a_sequence_of_names(detectors):
+    # a bare name is not split into one unknown detector per character,
+    # and a non-sequence or an unhashable entry is named, not a TypeError
+    with pytest.raises(ConfigInvalid, match="detectors must be a sequence of names"):
+        SimConfig(layers=1, n_rx=1, detectors=detectors)
+    assert SimConfig(layers=1, n_rx=1, detectors=["proposed"]).detectors == ["proposed"]
+
+
 def test_noise_power_convention():
     # two bits per symbol at unit symbol energy: Eb = sigma_s2 / 2
     assert sigma_n2_for_snr(0.0) == pytest.approx(0.5)
