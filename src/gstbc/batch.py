@@ -1,8 +1,8 @@
 """Detector engines over blocks of instances, for Monte Carlo runs.
 
 All engines take the physical channel `h` of shape (B, N, 2M) and the
-stacked received block `x` of shape (B, 2N), check them with the scalar
-detectors' check (`detectors._check_input`), and return (B, 2M) decisions
+stacked received block `x` of shape (B, 2N), check them as the scalar
+detectors do (`channel._check_input`), and return (B, 2M) decisions
 and soft values.
 
 Every engine reads its block through a `PreparedBlock`, which checks the
@@ -53,6 +53,7 @@ import numpy as np
 
 from . import detectors
 from .alamouti import AlamoutiBlock, StructuredHermitianBlockMatrix
+from .channel import _check_input
 from .errors import PIVOT_REL_TOL, TIE_REL_TOL, SingularPivot
 from .flops import charge
 from .modulation import qpsk_slice_array
@@ -111,7 +112,7 @@ class PreparedBlock:
     """
 
     def __init__(self, h, x, alpha):
-        detectors._check_input(h, x, alpha, 1)
+        _check_input(h, x, alpha, 1)
         self.h = h
         self.x = x
         self.alpha = alpha
@@ -368,13 +369,10 @@ def _masked_sic(block, groupwise):
     minimum tying to the lowest index, as in the scalar reference.
     """
     q = block.dense_inverse
-    u = np.einsum("bik,kb->bi", q, np.asarray(block.compressed[1]))
+    u = np.einsum("bik,kb->bi", q, block._entries[3])
     b, two_m = u.shape
     rows = np.arange(b)
-    idx = np.arange(two_m)
-    # flat offsets into the (B, 2M, 2M) inverse of instance b's column 0,
-    # and into a (B, 2M) array of instance b's entry 0
-    col_0 = (rows * two_m * two_m)[:, None] + idx * two_m
+    # flat offset into a (B, 2M) array of instance b's entry 0
     row_0 = rows * two_m
     qdiag = q.diagonal(axis1=1, axis2=2).copy()
     live = np.ones((b, two_m), dtype=bool)
@@ -401,8 +399,8 @@ def _masked_sic(block, groupwise):
         detectors._block_guard(qjj > 0, "downdate pivot is not positive", qjj, np.min)
         if step == two_m - 1:
             break
-        v = v_terms[step]
-        np.take(q.reshape(-1), col_0 + j[:, None], out=v)
+        # column j of the Hermitian inverse is the conjugate of row j
+        v = np.conjugate(q[rows, j], out=v_terms[step])
         w_j = w_terms[:step, rows, j]
         for t in range(step):
             v -= v_terms[t] * w_j[t][:, None]

@@ -18,7 +18,9 @@ Since the gains fix H', the detectors take only the gains
 (`ChannelMatrix`), and the recursion never builds H' at all.
 
 The channel use is written once, in `receive`, over any leading axes:
-`transmit` runs it on one instance and the sweep's draw on a block.
+`transmit` runs it on one instance and the sweep's draw on a block.  The
+checks of the input types are written once here too (`_check_input` and
+its parts), for `transmit` and for every detector on either route.
 
 Randomness is counter-based: every draw derives from a fresh Philox
 generator keyed by the caller's seed (optionally a spawn-key tuple), so
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDimensions
+from .errors import InvalidDimensions, NonPositiveAlpha
 
 __all__ = [
     "ChannelMatrix",
@@ -96,6 +98,33 @@ def generate_channel(n_rx: int, layers: int, seed: int) -> ChannelMatrix:
     return ChannelMatrix(gains)
 
 
+def _check_shapes(g, x, alpha, lead: int) -> None:
+    """Both routes' input checks but finiteness, over `lead` leading
+    instance axes (0 for one instance, 1 for a block): gains (..., N, 2M),
+    N, M >= 1; samples (..., 2N) and a finite alpha > 0 (NaN fails),
+    each unless None."""
+    if g.ndim != lead + 2 or g.shape[-1] % 2 or 0 in g.shape[lead:]:
+        raise InvalidDimensions(f"channel gains must be {'B x ' * lead}N x 2M with N, M >= 1, got {g.shape}")
+    if x is not None and x.shape != g.shape[:lead] + (2 * g.shape[lead],):
+        raise InvalidDimensions(f"received samples must be {'B x ' * lead}2N, got {x.shape} for gains {g.shape}")
+    if alpha is not None and not 0 < alpha < np.inf:
+        raise NonPositiveAlpha(f"alpha must be > 0 and finite, got {alpha}")
+
+
+def _check_finite(*arrays) -> None:
+    """Finite entries in each array but None; a byte search, cheaper than
+    `.all()` on one instance's few entries."""
+    for a in arrays:
+        if a is not None and b"\0" in np.isfinite(a).tobytes():
+            raise InvalidDimensions("channel gains and received samples must be finite")
+
+
+def _check_input(g, x, alpha, lead: int) -> None:
+    """`_check_shapes`, then `_check_finite`."""
+    _check_shapes(g, x, alpha, lead)
+    _check_finite(g, x)
+
+
 def _equivalent_rows(h, out):
     # antenna n of h (..., N, 2M) gives rows 2n and 2n + 1 of out (..., 2N, 2M)
     out[..., 0::2, :] = h
@@ -140,10 +169,7 @@ def transmit(h: ChannelMatrix, s, noise: NoiseSpec) -> ReceivedVector:
     and the use itself is `receive` on one instance.
     """
     g = np.asarray(h.gains)
-    if g.ndim != 2 or g.shape[1] % 2 or 0 in g.shape:
-        raise InvalidDimensions(f"channel gains must be N x 2M with N, M >= 1, got {g.shape}")
-    if not np.isfinite(g).all():
-        raise InvalidDimensions("channel gains must be finite")
+    _check_input(g, None, None, 0)
     sv = np.asarray(s, dtype=np.complex128)
     if sv.ndim != 1 or sv.size != g.shape[1]:
         raise InvalidDimensions(f"symbol vector length {sv.size} does not match 2M={g.shape[1]}")

@@ -19,9 +19,10 @@ dense references use the counted helpers in `gstbc.dense`, so every
 detector reports its flop tally.  Every detector slices to QPSK.
 
 Every detector takes the physical gains (a `ChannelMatrix`, N x 2M) and
-the stacked samples.  `_check_input` checks them, and checks a block for
-`gstbc.batch` the same way; the dense references build the equivalent
-channel from the gains with `channel.equivalent_channel_batch`.
+the stacked samples.  `channel._check_input` checks them, as it checks a
+block for `gstbc.batch` and the gains for `channel.transmit`; the dense
+references build the equivalent channel from the gains with
+`channel.equivalent_channel_batch`.
 
 The recursion is written once and reads only the physical gains, never a
 built equivalent channel.  Each compressed entry is a Python number for
@@ -37,7 +38,8 @@ output (`_scatter`) tell the two apart.
 The recursion comes in two halves, the starting state and the layer loop
 (`_recurse`), so that every detector on one block can start from the same
 state.  One instance starts from `matched_filter` and `init_gram`
-(`_start_workspace`), which check their input as `_check_input` does.
+(`_start_workspace`), which check their input as `channel._check_input`
+does.
 `gstbc.batch` builds a block's compressed Gram and matched filter from
 one batched product instead, charges what those two stages charge
 (`_matched_filter_cost`, `_gram_cost`), and grows the same start
@@ -54,20 +56,19 @@ import numpy as np
 from .alamouti import (
     AlamoutiBlock,
     StructuredHermitianBlockMatrix,
+    _new_tuple,
     sbm_from_rows,
     sbm_leading,
     sbm_matvec,
     sbm_sub_outer,
     sbm_swap_blocks,
 )
-from .channel import ReceivedVector, equivalent_channel_batch
+from .channel import ReceivedVector, _check_input, _check_shapes, equivalent_channel_batch
 from .dense import adjoint_apply, gj_inverse_hpd, gram_plus_alpha
 from .errors import IMAG_REL_TOL, PIVOT_REL_TOL, TIE_REL_TOL
-from .errors import InvalidDimensions, NonPositiveAlpha, SingularPivot
-from .flops import FlopCounter, cdotu, charge, cost, dotu, flop_scope, rdiv
+from .errors import InvalidDimensions, SingularPivot
+from .flops import FlopCounter, cdotu, charge, cost, dotu, flop_scope
 from .modulation import qpsk_slice
-
-_new_tuple = tuple.__new__  # skips the NamedTuple's Python-level __new__
 
 
 @dataclass(frozen=True)
@@ -116,38 +117,6 @@ class DetectionResult:
 
 def _as_array(x):
     return np.asarray(x.entries if isinstance(x, ReceivedVector) else x)
-
-
-def _check_alpha(alpha) -> None:
-    """The regularizer must be a positive, finite number; NaN fails too."""
-    if not 0 < alpha < np.inf:
-        raise NonPositiveAlpha(f"alpha must be > 0 and finite, got {alpha}")
-
-
-def _check_shapes(g, x, alpha, lead: int) -> None:
-    """Both routes' input checks but finiteness, over `lead` leading
-    instance axes (0 for one instance, 1 for a block): gains (..., N, 2M),
-    N, M >= 1; samples (..., 2N) and a finite alpha > 0, unless None."""
-    if g.ndim != lead + 2 or g.shape[-1] % 2 or 0 in g.shape[lead:]:
-        raise InvalidDimensions(f"channel gains must be {'B x ' * lead}N x 2M with N, M >= 1, got {g.shape}")
-    if x is not None and x.shape != g.shape[:lead] + (2 * g.shape[lead],):
-        raise InvalidDimensions(f"received samples must be {'B x ' * lead}2N, got {x.shape} for gains {g.shape}")
-    if alpha is not None:
-        _check_alpha(alpha)
-
-
-def _check_finite(*arrays) -> None:
-    """Finite entries in each array but None; a byte search, cheaper than
-    `.all()` on one instance's few entries."""
-    for a in arrays:
-        if a is not None and b"\0" in np.isfinite(a).tobytes():
-            raise InvalidDimensions("channel gains and received samples must be finite")
-
-
-def _check_input(g, x, alpha, lead: int) -> None:
-    """`_check_shapes`, then `_check_finite`."""
-    _check_shapes(g, x, alpha, lead)
-    _check_finite(g, x)
 
 
 def _check_instance(h, x, alpha):
@@ -288,7 +257,8 @@ def init_covariance(rbar: StructuredHermitianBlockMatrix) -> StructuredHermitian
     m = rbar.m
     scale = sum(rbar.diag) / m
     _pivot_guard(rbar.diag[0], scale, "leading diagonal")
-    q = sbm_from_rows(1, (rdiv(1.0, rbar.diag[0]),), ((),))
+    q = sbm_from_rows(1, (1.0 / rbar.diag[0],), ((),))
+    charge(*cost(rdiv=1))
     cols = rbar.upper_rows()
     for mm in range(2, m + 1):
         k = mm - 1
@@ -519,7 +489,7 @@ def _recurse(ws: DetectorWorkspace, slicer, ordered, record_trace):
 def _detect_recursive(h, x, alpha, ordered, record_trace):
     """The group-wise recursion on one instance, both halves counted in one
     scope; `matched_filter` checks finiteness after the caller's
-    `_check_shapes`, in `_check_input`'s order."""
+    `_check_shapes`, in `channel._check_input`'s order."""
     local = FlopCounter()
     with flop_scope(local):
         decisions, soft, order, trace = _recurse(_start_workspace(h, x, alpha), qpsk_slice, ordered, record_trace)

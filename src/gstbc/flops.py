@@ -6,22 +6,20 @@ complex addition (or subtraction) costs 2 real additions, and scaling a
 complex number by a real costs 2 real multiplications.  A real division is
 charged as one multiplication.  Negation and conjugation are free, as are
 comparisons, copies and permutations.  Tolerance checks and other
-bookkeeping are plain Python arithmetic and do not accrue.
+bookkeeping are plain Python arithmetic and do not accrue.  `cost` states
+this convention, and only it.
 
-Every piece of detector arithmetic in this package is charged here, per
-kernel loop rather than per operation.  A loop does its arithmetic with
-plain operators and then makes one `charge`, written as the numbers of
+Every piece of detector arithmetic in this package is charged one way:
+per kernel loop, by `charge(*cost(...))`.  A loop does its arithmetic with
+plain operators and then makes one charge, written as the numbers of
 primitive operations the loop performs (`cost(cmul=n, cadd=n - 1)` for a
-dot product of length n), so a charge reads as the per-element primitives
-it stands for and no total is typed by hand.  The row helpers `cdotc` and
-`cdotu` are such loops (`dotu` is the uncounted row product).  The per-
-element primitives (`cmul`, `cadd`, ...) remain for single operations
-and define the convention; a loop's charge
-equals, count for count, what the same loop written with them would
-charge.  Counting is scoped and thread-confined: arithmetic accrues to the
-innermost `flop_scope` counter installed on the current thread, and a
-nested scope rolls its delta up into the enclosing scope on exit.  With no
-scope active nothing is charged and the arithmetic just computes.
+dot product of length n), so a charge reads as the operations it stands
+for and no total is typed by hand.  `cdotu` is such a loop; `dotu` is the
+uncounted row product.  Counting is scoped and thread-confined: arithmetic
+accrues to the innermost `flop_scope` counter installed on the current
+thread, and a nested scope rolls its delta up into the enclosing scope on
+exit.  With no scope active nothing is charged and the arithmetic just
+computes.
 """
 
 from __future__ import annotations
@@ -42,9 +40,6 @@ class FlopCounter:
     def __init__(self, real_mults: int = 0, real_adds: int = 0):
         self.real_mults = real_mults
         self.real_adds = real_adds
-
-    def copy(self) -> "FlopCounter":
-        return FlopCounter(self.real_mults, self.real_adds)
 
     @property
     def total(self) -> int:
@@ -95,17 +90,18 @@ class flop_scope:
             prev.real_adds += c.real_adds - self.base[1]
 
 
-# --- counted primitives -------------------------------------------------
+# --- charges --------------------------------------------------------------
 #
-# The hot path must stay cheap when no scope is active, so each primitive
-# and each charge does a single thread-local read and one branch.
+# The hot path must stay cheap when no scope is active, so each charge
+# does a single thread-local read and one branch.
 
 def cost(cmul=0, cadd=0, rcmul=0, rmul=0, radd=0, rdiv=0, cabs2=0):
-    """Real (mults, adds) of the given numbers of primitive operations.
-
-    A subtraction costs as the addition of its kind (`csub` as `cadd`,
-    `rsub` as `radd`).
-    """
+    """Real (mults, adds) of the given numbers of primitive operations:
+    `cmul` complex products (4 mults, 2 adds), `cadd` complex sums or
+    differences (2 adds), `rcmul` reals times complexes (2 mults), `rmul`
+    real products (1 mult), `radd` real sums or differences (1 add),
+    `rdiv` real divisions (1 mult) and `cabs2` squared magnitudes (2
+    mults, 1 add)."""
     mults = 4 * cmul + 2 * rcmul + rmul + rdiv + 2 * cabs2
     adds = 2 * cmul + 2 * cadd + radd + cabs2
     return mults, adds
@@ -130,91 +126,8 @@ def dotu(xs, ys):
     return acc
 
 
-def cdotc(xs, ys):
-    """Sum of conj(x) y: n complex mults + n - 1 complex adds."""
-    n = len(xs)
-    charge(*cost(cmul=n, cadd=n - 1))
-    return dotu([x.conjugate() for x in xs], ys)
-
-
 def cdotu(xs, ys):
     """`dotu` counted: n complex mults + n - 1 complex adds."""
     n = len(xs)
     charge(*cost(cmul=n, cadd=n - 1))
     return dotu(xs, ys)
-
-
-def cmul(x, y):
-    """Complex product: 4 real mults + 2 real adds."""
-    c = _scope.current
-    if c is not None:
-        c.real_mults += 4
-        c.real_adds += 2
-    return x * y
-
-
-def cadd(x, y):
-    """Complex sum: 2 real adds."""
-    c = _scope.current
-    if c is not None:
-        c.real_adds += 2
-    return x + y
-
-
-def csub(x, y):
-    """Complex difference: 2 real adds."""
-    c = _scope.current
-    if c is not None:
-        c.real_adds += 2
-    return x - y
-
-
-def rcmul(r, x):
-    """Real scalar times complex: 2 real mults."""
-    c = _scope.current
-    if c is not None:
-        c.real_mults += 2
-    return r * x
-
-
-def rmul(a, b):
-    """Real product: 1 real mult."""
-    c = _scope.current
-    if c is not None:
-        c.real_mults += 1
-    return a * b
-
-
-def radd(a, b):
-    """Real sum: 1 real add."""
-    c = _scope.current
-    if c is not None:
-        c.real_adds += 1
-    return a + b
-
-
-def rsub(a, b):
-    """Real difference: 1 real add."""
-    c = _scope.current
-    if c is not None:
-        c.real_adds += 1
-    return a - b
-
-
-def rdiv(a, b):
-    """Real division, charged as one real mult by convention."""
-    c = _scope.current
-    if c is not None:
-        c.real_mults += 1
-    return a / b
-
-
-def cabs2(x):
-    """Squared magnitude of a complex number: 2 real mults + 1 real add."""
-    c = _scope.current
-    if c is not None:
-        c.real_mults += 2
-        c.real_adds += 1
-    re = x.real
-    im = x.imag
-    return re * re + im * im

@@ -84,8 +84,12 @@ class SimConfig:
     sigma_s2: ClassVar[float] = 1.0
 
     def __post_init__(self):
+        # a bool passes `operator.index` and the noise formula, so it is
+        # refused by name
         for name in ("layers", "n_rx", "trials", "seed"):
             try:
+                if isinstance(getattr(self, name), bool):
+                    raise TypeError
                 operator.index(getattr(self, name))
             except TypeError:
                 raise ConfigInvalid(f"{name} must be an integer, got {getattr(self, name)!r}") from None
@@ -94,6 +98,8 @@ class SimConfig:
                 f"need n_rx >= layers >= 1, got layers={self.layers} n_rx={self.n_rx}"
             )
         try:
+            if any(isinstance(v, (bool, np.bool_)) for v in self.snr_db):
+                raise TypeError
             noise = [float(sigma_n2_for_snr(v, self.sigma_s2)) for v in self.snr_db]
         except (OverflowError, ZeroDivisionError):
             noise = [math.nan]

@@ -20,7 +20,7 @@ from gstbc.alamouti import (
     sbm_to_dense,
 )
 from gstbc.errors import StructureViolation
-from gstbc.flops import FlopCounter, cadd, cmul, csub, flop_scope, rcmul
+from gstbc.flops import FlopCounter, charge, flop_scope
 
 RNG = np.random.default_rng(90210)
 
@@ -214,6 +214,28 @@ def test_sbm_rejects_bad_shapes():
         StructuredHermitianBlockMatrix(2, (1.0, 2.0), (AlamoutiBlock(0j, 0j), AlamoutiBlock(0j, 0j)))  # upper too long
     with pytest.raises(StructureViolation):
         sbm_from_dense(np.eye(5))  # odd size
+
+
+# the per-element primitives, one operation and one charge each, with the
+# real (mults, adds) of the convention written out
+def cmul(x, y):
+    charge(4, 2)
+    return x * y
+
+
+def cadd(x, y):
+    charge(0, 2)
+    return x + y
+
+
+def csub(x, y):
+    charge(0, 2)
+    return x - y
+
+
+def rcmul(r, x):
+    charge(2, 0)
+    return r * x
 
 
 # each block helper written out with the per-element primitives

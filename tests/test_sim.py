@@ -39,12 +39,13 @@ def test_config_validation():
                 {"detectors": ("proposed", "proposed")},
                 {"detectors": ("proposed", "linear_mmse", "proposed")},
                 {"seed": -1}, {"detectors": ()}, {"seed": 1.5}, {"trials": 10.5},
-                {"layers": 1.0}, {"n_rx": 1.0}):
+                {"layers": 1.0}, {"n_rx": 1.0}, {"trials": True}, {"seed": False},
+                {"layers": True}, {"n_rx": True}):
         with pytest.raises(ConfigInvalid):
             SimConfig(**{"layers": 1, "n_rx": 1, **bad})
 
 
-@pytest.mark.parametrize("snr_db", [5.0, 0.0, ("a",), (None,), (0.0, None), (1j,), "5"])
+@pytest.mark.parametrize("snr_db", [5.0, 0.0, ("a",), (None,), (0.0, None), (1j,), "5", (True,), (0.0, np.False_)])
 def test_config_rejects_a_grid_of_non_numbers(snr_db):
     # a scalar or a non-number is named as a bad grid, not left to fail
     # as a TypeError inside the noise formula
