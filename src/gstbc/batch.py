@@ -11,8 +11,11 @@ compressed Gram and matched filter and its starting state, the Cholesky
 factor of the regularized Gram, and that Gram's inverse.  A sweep builds
 one per slice of a drawn block (at most `sim.SLICE_SIZE` instances) and
 passes it as `prepared=` to every detector, so the front ends are
-computed once per slice and only one slice's are held; a call without it
-builds its own, so both calls run the same code.
+computed once per slice and only one slice's are held beyond its
+compressed entries.  Once those exist a block can let go of its gains
+and samples (`PreparedBlock.drop_gains`), which nothing else reads; a
+sweep does so for every slice before it detects any.  A call without
+`prepared` builds its own block, so both calls run the same code.
 
 The compressed entries come from one batched product per chunk of instances
 (`CHUNK_BYTES` of gains each), P = h^T conj([h | x1 | conj(x2)]) with
@@ -108,7 +111,9 @@ class PreparedBlock:
     which `linear_mmse` solves with; `dense_inverse`, the Gram's inverse
     from that factor, which the SIC references downdate.  Detectors only
     read these; the arrays are marked read-only.  A Gram with a vanishing
-    factor pivot raises `SingularPivot`.
+    factor pivot raises `SingularPivot`.  After `drop_gains` the block
+    holds no gains or samples (`h` and `x` are None) and every front end
+    is built from the compressed entries alone.
     """
 
     def __init__(self, h, x, alpha):
@@ -116,6 +121,15 @@ class PreparedBlock:
         self.h = h
         self.x = x
         self.alpha = alpha
+        # N, which the flop charge of `workspace` reads
+        self.n_rx = h.shape[1]
+
+    def drop_gains(self) -> None:
+        """Build the compressed entries, then let go of the gains and
+        samples: no other front end reads them.  Detector calls on the
+        block then pass h = x = None."""
+        self._entries
+        self.h = self.x = None
 
     @cached_property
     def _entries(self) -> tuple:
@@ -178,9 +192,8 @@ class PreparedBlock:
         """The recursion's starting state.  Building it charges, per
         instance, what `matched_filter` and `init_gram` charge."""
         rbar, z = self.compressed
-        n = self.h.shape[1]
-        charge(*detectors._matched_filter_cost(n, rbar.m))
-        charge(*detectors._gram_cost(n, rbar.m))
+        charge(*detectors._matched_filter_cost(self.n_rx, rbar.m))
+        charge(*detectors._gram_cost(self.n_rx, rbar.m))
         return detectors._grow_workspace(rbar, z)
 
     @cached_property
@@ -204,14 +217,15 @@ class PreparedBlock:
         n, b = 2 * rbar.m, len(rbar.diag[0])
         tol = PIVOT_REL_TOL * np.maximum(sum(rbar.diag) / rbar.m, 1e-300)
         bad = np.zeros(b, dtype=bool)
-        # row i of L and its conjugate, grown one entry per column
+        # row i of L, grown one entry per column
         rows = [[] for _ in range(n)]
-        conj_rows = [[] for _ in range(n)]
         inv_diag = []
         tmp = np.empty(b, dtype=np.complex128)
         for j in range(n):
+            # the conjugates of row j, which only column j reads
+            conj_row = [np.conjugate(x) for x in rows[j]]
             d = rbar.diag[j // 2].copy()
-            for x, cx in zip(rows[j], conj_rows[j]):
+            for x, cx in zip(rows[j], conj_row):
                 d -= np.multiply(x, cx, out=tmp).real
             if not (d > tol).all():
                 # NaN and +inf pass; a failed pivot is set to 1 so that
@@ -223,11 +237,10 @@ class PreparedBlock:
             inv_diag.append(r)
             for i in range(j + 1, n):
                 acc = _gram_lower(rbar, i, j)
-                for x, cx in zip(rows[i], conj_rows[j]):
+                for x, cx in zip(rows[i], conj_row):
                     acc -= np.multiply(x, cx, out=tmp)
                 acc *= r
                 rows[i].append(acc)
-                conj_rows[i].append(np.conjugate(acc))
         if bad.any():
             raise SingularPivot(f"regularized Gram is singular in {np.count_nonzero(bad)} of {b} instances")
         for a in (*inv_diag, *(x for row in rows for x in row)):
@@ -288,7 +301,9 @@ def _gram_lower(rbar, i, j) -> np.ndarray:
 
 
 def _prepare(h, x, alpha, prepared) -> PreparedBlock:
-    """`prepared` if it was built from this very block, else a new block."""
+    """`prepared` if it was built from this very block, else a new block.
+    A block that dropped its gains holds h = x = None, and so takes only
+    a call that passes None for both."""
     if prepared is None:
         return PreparedBlock(h, x, alpha)
     if prepared.h is not h or prepared.x is not x or prepared.alpha != alpha:

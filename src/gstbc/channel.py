@@ -154,11 +154,16 @@ def receive(h: np.ndarray, s: np.ndarray, noise: np.ndarray) -> np.ndarray:
     (..., 2N).  Slot one sends `s`, slot two its `second_slot`, and each
     slot-two sample is conjugated as it is stacked; conjugated CN noise
     is CN with the same variance, so the stacked model sees i.i.d. noise.
+
+    Both slots are added into `noise` (complex128), which becomes the
+    samples: the result is `noise` seen as (..., 2N), sample 2n + t being
+    slot t of antenna n.
     """
-    x = np.empty(h.shape[:-2] + (2 * h.shape[-2],), dtype=np.complex128)
-    x[..., 0::2] = np.einsum("...nj,...j->...n", h, s) + noise[..., 0]
-    x[..., 1::2] = np.conj(np.einsum("...nj,...j->...n", h, second_slot(s)) + noise[..., 1])
-    return x
+    slot1, slot2 = noise[..., 0], noise[..., 1]
+    slot1 += np.einsum("...nj,...j->...n", h, s)
+    slot2 += np.einsum("...nj,...j->...n", h, second_slot(s))
+    np.conjugate(slot2, out=slot2)
+    return noise.reshape(noise.shape[:-2] + (2 * noise.shape[-2],))
 
 
 def transmit(h: ChannelMatrix, s, noise: NoiseSpec) -> ReceivedVector:

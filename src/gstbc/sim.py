@@ -15,15 +15,18 @@ results do not depend on evaluation order.  A block's bits are mapped by
 use that `channel.transmit` runs on one instance; errors are counted
 against `qpsk_demap` of the decisions.
 
-A drawn block is detected a slice of at most SLICE_SIZE instances at a
-time.  Each slice is wrapped once in a `batch.PreparedBlock`, so the
-detectors share its checks and front ends (the recursion's starting
-state, the Gram's Cholesky factor and its inverse) instead of each
-rebuilding them, and its front ends are dropped before the next
-slice; the drawn block is dropped before the next draw.  Every detector
-treats each instance on its own, so the records do not depend on the
-slicing, and a sweep's memory is bounded by one drawn block's gains and
-samples plus one slice's front ends.
+A block is drawn into separate arrays of at most SLICE_SIZE instances
+each, and detected a slice at a time.  Each slice is wrapped once in a
+`batch.PreparedBlock`, so the detectors share its checks and front ends
+(the recursion's compressed entries and starting state, the Gram's
+Cholesky factor and its inverse) instead of each rebuilding them.  Every
+slice's compressed entries are built, and its gains and samples dropped,
+before any detector runs; the detectors then read each slice through its
+entries alone, and a slice's other front ends are dropped before the
+next slice.  Every detector treats each instance on its own, so the
+records do not depend on the slicing, and a sweep's memory is bounded by
+the larger of one draw and one block's compressed entries plus one
+slice's front ends.
 """
 
 from __future__ import annotations
@@ -142,36 +145,49 @@ def sigma_n2_for_snr(snr_db: float, sigma_s2: float = 1.0) -> float:
     return sigma_s2 / (2.0 * 10.0 ** (snr_db / 10.0))
 
 
-def _draw_block(rng, count, layers, n_rx, sigma_n2):
-    """One block of channels, bit streams and stacked received vectors.
+def _draw_block(rng, count, layers, n_rx, sigma_n2, slice_size=None):
+    """One block of `count` channels, bit streams, symbols and stacked
+    received vectors: four arrays, or with `slice_size` four lists of
+    arrays of at most that many instances each.
 
     The gains are `(n1 + 1j*n2) * _SCALE` and the slot noise
     `(n3 + 1j*n4) * sqrt(sigma_n2 / 2)`, with n1, n2, bits, n3, n4 drawn
-    in that order.  Each part is filled in place from one reused float
-    buffer, which takes the stream exactly as one `standard_normal` call
-    per part would and gives the same bits without complex temporaries.
+    in that order over the whole block, each a slice after another, so
+    the slicing changes no value.  Each part is filled in place from one
+    reused float buffer, which takes the stream exactly as one
+    `standard_normal` call per part would and gives the same bits without
+    complex temporaries.  The bits are one `integers` call per slice: two
+    per instance and symbol, an even count, which takes the stream as one
+    call over the block does.  Each slice's noise becomes its samples in
+    place (`receive`).
     """
+    step = slice_size or count
+    sizes = [min(step, count - lo) for lo in range(0, count, step)]
     two_m = 2 * layers
     buf = np.empty(_DRAW_CHUNK)
-    h = np.empty((count, n_rx, two_m), dtype=np.complex128)
+    h = [np.empty((c, n_rx, two_m), dtype=np.complex128) for c in sizes]
     _fill_normals(rng, h, _SCALE, buf)
-    bits = rng.integers(0, 2, size=(count, 2 * two_m)).astype(np.int8)
-    s = qpsk_modulate(bits)
-    noise = np.empty((count, n_rx, 2), dtype=np.complex128)
+    bits = [rng.integers(0, 2, size=(c, 2 * two_m)).astype(np.int8) for c in sizes]
+    s = [qpsk_modulate(b) for b in bits]
+    noise = [np.empty((c, n_rx, 2), dtype=np.complex128) for c in sizes]
     _fill_normals(rng, noise, math.sqrt(sigma_n2 / 2.0), buf)
-    return h, bits, s, receive(h, s, noise)
+    x = list(map(receive, h, s, noise))
+    if slice_size is None:
+        return h[0], bits[0], s[0], x[0]
+    return h, bits, s, x
 
 
-def _fill_normals(rng, out, scale, buf):
-    """Set the real parts of the complex array `out`, then its imaginary
-    parts, to `scale` times standard normals in C order, drawn through
-    `buf`."""
-    flat = out.reshape(-1)
-    for part in (flat.real, flat.imag):
-        for lo in range(0, part.size, buf.size):
-            chunk = buf[: part.size - lo]
-            rng.standard_normal(out=chunk)
-            np.multiply(chunk, scale, out=part[lo : lo + chunk.size])
+def _fill_normals(rng, arrays, scale, buf):
+    """Set the real parts of the complex arrays, one array after another,
+    then their imaginary parts, to `scale` times standard normals in C
+    order, drawn through `buf`."""
+    flats = [a.reshape(-1) for a in arrays]
+    for parts in ([f.real for f in flats], [f.imag for f in flats]):
+        for part in parts:
+            for lo in range(0, part.size, buf.size):
+                chunk = buf[: part.size - lo]
+                rng.standard_normal(out=chunk)
+                np.multiply(chunk, scale, out=part[lo : lo + chunk.size])
 
 
 def _bit_errors(decisions, bits):
@@ -180,19 +196,27 @@ def _bit_errors(decisions, bits):
 
 
 def _tally_block(names, tally, h, bits, x, alpha, where):
-    """Add each named detector's bit and frame errors on one drawn block to
-    `tally`, detecting a slice of at most SLICE_SIZE instances at a time.
+    """Add each named detector's bit and frame errors on one drawn block,
+    given as lists of slices of at most SLICE_SIZE instances, to `tally`.
 
-    A `GstbcError` of a detector is raised again, as the same type, with
-    the detector, `where` (the point and block) and the slice's instances.
+    Every slice's compressed entries are built first, and `h` and `x` are
+    emptied as that goes, so no gains are held through detection; each
+    slice is then detected from its entries alone and its front ends are
+    dropped before the next slice.  A `GstbcError` of a detector is raised
+    again, as the same type, with the detector, `where` (the point and
+    block) and the slice's instances.
     """
-    for lo in range(0, len(h), SLICE_SIZE):
-        hi = min(lo + SLICE_SIZE, len(h))
-        hs, xs, bs = h[lo:hi], x[lo:hi], bits[lo:hi]
-        block = PreparedBlock(hs, xs, alpha)
+    blocks = []
+    while h:
+        blocks.append(PreparedBlock(h.pop(0), x.pop(0), alpha))
+        blocks[-1].drop_gains()
+    lo = 0
+    for bs in bits:
+        block = blocks.pop(0)
+        hi = lo + len(bs)
         for name in names:
             try:
-                out = DETECTORS[name](hs, xs, alpha, prepared=block)
+                out = DETECTORS[name](None, None, alpha, prepared=block)
             except GstbcError as err:
                 raise type(err)(f"{name} at {where}, instances {lo}-{hi - 1}: {err}") from err
             errs, ferrs = _bit_errors(out.decisions, bs)
@@ -203,6 +227,7 @@ def _tally_block(names, tally, h, bits, x, alpha, where):
             t[3] += ferrs
         # the slice's front ends must not stay alive through the next slice
         del block, out
+        lo = hi
 
 
 def run_ber_sweep(config: SimConfig, progress=None) -> list:
@@ -224,11 +249,12 @@ def run_ber_sweep(config: SimConfig, progress=None) -> list:
             count = min(BLOCK_SIZE, config.trials - block_idx * BLOCK_SIZE)
             rng = keyed_generator(config.seed, point_idx, block_idx)
             h, bits, s, x = _draw_block(
-                rng, count, config.layers, config.n_rx, sigma_n2
+                rng, count, config.layers, config.n_rx, sigma_n2, SLICE_SIZE
             )
+            del s
             _tally_block(config.detectors, tally, h, bits, x, alpha, f"{snr_db:g} dB, block {block_idx}")
             # the drawn block must not stay alive through the next draw
-            del h, bits, s, x
+            del h, bits, x
             if progress is not None:
                 progress(point_idx, block_idx, blocks)
         for name in config.detectors:

@@ -98,6 +98,28 @@ def test_prepared_block_must_hold_the_call_block():
             fn(h, x, 0.2, prepared=block)
 
 
+def test_block_without_gains_answers_from_its_entries():
+    # a block that dropped its gains takes only calls that pass none, and
+    # returns bytewise what a call on a full block returns; it still
+    # charges N for the front end
+    rng = np.random.default_rng(59)
+    h, _, x = random_batch(rng, 30, 3, 5, sigma_n2=0.2)
+    for name, fn in BATCH_PAIRS.items():
+        block = PreparedBlock(h, x, 0.2)
+        block.drop_gains()
+        assert block.h is None and block.x is None
+        for args in ((h, x), (h, None), (None, x)):
+            with pytest.raises(ValueError, match="different"):
+                fn(*args, 0.2, prepared=block)
+        with flop_scope(FlopCounter()) as dropped:
+            out = fn(None, None, 0.2, prepared=block)
+        with flop_scope(FlopCounter()) as full:
+            want = fn(h, x, 0.2, prepared=PreparedBlock(h, x, 0.2))
+        assert (dropped.real_mults, dropped.real_adds) == (full.real_mults, full.real_adds), name
+        assert out.decisions.tobytes() == want.decisions.tobytes(), name
+        assert out.soft.tobytes() == want.soft.tobytes(), name
+
+
 def test_batch_rejects_bad_alpha():
     rng = np.random.default_rng(45)
     h, _, x = random_batch(rng, 3, 2, 2, 0.1)

@@ -144,7 +144,9 @@ def test_detector_failure_names_detector_point_block_and_slice(monkeypatch):
     calls = []
 
     def fails_on_third_slice(h, x, alpha, prepared=None):
-        calls.append(len(h))
+        # the sweep's blocks hold no gains, so the slice size is read from
+        # the compressed entries
+        calls.append(prepared._entries[0].shape[1])
         if len(calls) == 3:
             raise SingularPivot("pivot vanishes")
         return real(h, x, alpha, prepared=prepared)
@@ -172,27 +174,44 @@ def _composite_draw(rng, count, layers, n_rx, sigma_n2):
 @pytest.mark.parametrize("layers,n_rx", [(1, 1), (2, 8), (8, 8)])
 @pytest.mark.parametrize("sigma_n2", [0.0, 0.35])
 def test_draw_is_bytewise_the_composite_draw(layers, n_rx, sigma_n2):
-    # 1,500 instances at (8, 8) fill the draw's buffer 12 times per part
-    count = 1500
-    new = sim._draw_block(keyed_generator(9, 1, 2), count, layers, n_rx, sigma_n2)
+    # 1,501 instances at (8, 8) fill the draw's buffer 12 times per part;
+    # drawn whole or in slices of 1 or 7 (the last one partial), each
+    # array put back together is bytewise the composite draw's
+    count = 1501
     old = _composite_draw(keyed_generator(9, 1, 2), count, layers, n_rx, sigma_n2)
+    new = sim._draw_block(keyed_generator(9, 1, 2), count, layers, n_rx, sigma_n2)
     for a, b in zip(new, old):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
+    for size in (1, 7, count):
+        sliced = sim._draw_block(keyed_generator(9, 1, 2), count, layers, n_rx, sigma_n2, size)
+        for parts, b in zip(sliced, old):
+            assert [len(a) for a in parts] == [min(size, count - lo) for lo in range(0, count, size)]
+            assert all(a.flags.c_contiguous for a in parts)
+            a = np.concatenate(parts)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes(), size
 
 
 def test_sweep_memory_is_bounded_by_a_slice():
-    # one (8, 8) point of 10,000 trials: holding the whole block's front
-    # ends at once traced 98 MiB, a slice at a time 55 MiB
-    cfg = SimConfig(layers=8, n_rx=8, snr_db=(0.0,), trials=10_000, seed=29,
-                    detectors=("proposed", "fixed_order", "linear_mmse"))
-    tracemalloc.start()
-    try:
-        run_ber_sweep(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 70 * 2**20
+    # the traced peak of one point.  (8, 8), 10,000 trials: holding the
+    # whole block's front ends at once traced 98 MiB, a slice at a time
+    # with the block's gains held through detection 51.8 MiB, and with
+    # the gains dropped once the compressed entries exist 30.3 MiB.
+    # (2, 8), 25,000 trials, five detectors: 32.4 MiB holding the gains,
+    # 21.0 MiB without.  The bounds were fixed before the first run
+    for layers, detectors, trials, bound_mib in (
+        (8, ("proposed", "fixed_order", "linear_mmse"), 10_000, 40),
+        (2, tuple(sim.DETECTORS), 25_000, 26),
+    ):
+        cfg = SimConfig(layers=layers, n_rx=8, snr_db=(0.0,), trials=trials, seed=29, detectors=detectors)
+        tracemalloc.start()
+        try:
+            run_ber_sweep(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2**20, (layers, peak / 2**20)
 
 
 def test_seed_changes_output():
