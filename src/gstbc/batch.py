@@ -109,8 +109,9 @@ class PreparedBlock:
     `workspace`, the recursion's starting state grown from them;
     `cholesky`, the Gram's factor L L^H, read from the compressed entries,
     which `linear_mmse` solves with; `dense_inverse`, the Gram's inverse
-    from that factor, which the SIC references downdate.  Detectors only
-    read these; the arrays are marked read-only.  A Gram with a vanishing
+    from that factor, which the SIC references downdate.  Every array is
+    marked read-only: detectors share them, and the recursion's swap
+    copies an entry before it writes one.  A Gram with a vanishing
     factor pivot raises `SingularPivot`.  After `drop_gains` the block
     holds no gains or samples (`h` and `x` are None) and every front end
     is built from the compressed entries alone.
@@ -194,7 +195,10 @@ class PreparedBlock:
         rbar, z = self.compressed
         charge(*detectors._matched_filter_cost(self.n_rx, rbar.m))
         charge(*detectors._gram_cost(self.n_rx, rbar.m))
-        return detectors._grow_workspace(rbar, z)
+        ws = detectors._grow_workspace(rbar, z)
+        for a in (*ws.Qbar.diag, *(x for u in ws.Qbar.upper for x in u)):
+            a.flags.writeable = False
+        return ws
 
     @cached_property
     def cholesky(self) -> tuple:

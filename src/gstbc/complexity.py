@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .channel import NoiseSpec, generate_channel, keyed_generator, transmit
 from .detectors import SCALAR_DETECTORS
 from .errors import ConfigInvalid, InvalidDimensions
@@ -92,61 +90,12 @@ def measure_flops(
     return result.flops
 
 
-def fit_scaling(ms=(4, 8, 12, 16), count_fn=None) -> dict:
-    """Separate the two leading coefficients of the multiplication count.
-
-    The cost is linear in the receive count, so a finite difference over
-    n at fixed m isolates the n-slope; a quadratic fit to the slope gives
-    the coefficient of m^2 n, and a cubic fit to the remainder at n = m
-    gives the coefficient of m^3.  `count_fn(m, n)` defaults to the exact
-    model; pass a measuring closure to fit instrumented counts instead.
-    """
-    if count_fn is None:
-        count_fn = lambda m, n: cost_recursive(m, n).real_mults
-    ms = np.asarray(ms, dtype=float)
-    slopes = []
-    residues = []
-    for m in ms:
-        m = int(m)
-        at_m = count_fn(m, m)
-        at_m2 = count_fn(m, m + 2)
-        slope = (at_m2 - at_m) / 2.0
-        slopes.append(slope)
-        residues.append(at_m - slope * m)
-    slope_coeffs = np.polyfit(ms, slopes, 2)
-    resid_coeffs = np.polyfit(ms, residues, 3)
-    return {
-        "m2n_coefficient": float(slope_coeffs[0]),
-        "m3_coefficient": float(resid_coeffs[0]),
-    }
-
-
-def fit_square_cubic(ms=(4, 8, 12, 16), count_fn=None) -> float:
-    """Cubic coefficient of the multiplication count along n = m.
-
-    On square systems the m^2 n and m^3 terms are indistinguishable; the
-    fitted cubic coefficient estimates their sum (8 + 32/3 = 56/3).
-    """
-    if count_fn is None:
-        count_fn = lambda m, n: cost_recursive(m, n).real_mults
-    ms = np.asarray(ms, dtype=float)
-    counts = [count_fn(int(m), int(m)) for m in ms]
-    return float(np.polyfit(ms, counts, 3)[0])
-
-
 def asymptotic_speedup() -> float:
-    """Cost ratio against the sorted-QR model for square systems, m large."""
-    fit = fit_scaling()
-    proposed = fit["m2n_coefficient"] + fit["m3_coefficient"]
-    reference = 32.0 + 16.0
-    return reference / proposed
-
-
-def dsttd_speedup(n_rx: int) -> float:
-    """Total-operation ratio of one-step dense SIC to the recursion, m = 2."""
-    dense = cost_dense_sic(n_rx)
-    ours = cost_recursive(2, n_rx)
-    return dense.total / ours.total
+    """Cost ratio against the sorted-QR model (leading coefficients 32 + 16)
+    for square systems, m large.  The leading terms of `cost_recursive`
+    are 8 m^2 n for the Gram, plus 8 m^3 for the inverse's growth and
+    8/3 m^3 for its deflation."""
+    return 48 / (8 + 32 / 3)
 
 
 @dataclass

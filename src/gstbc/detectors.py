@@ -29,8 +29,11 @@ built equivalent channel.  Each compressed entry is a Python number for
 one instance, or a (B,) array for a block of B instances; a `flop_scope`
 around a block counts one instance.  The stages call the kernels of
 `gstbc.alamouti` and make one charge per loop; like the kernels they
-write in place only into what they allocated, so `_recurse` leaves its
-starting workspace as it was.  The layer choice (`select_layer`, the
+write in place only into what they allocated.  Over a block the
+interchange (`_swap_merged`) trades entries in place, and reads a
+read-only entry as shared: it copies every such entry before it writes.
+Every front end of a `batch.PreparedBlock` is read-only, so `_recurse`
+leaves such a start as it was.  The layer choice (`select_layer`, the
 argmin over the layer axis) and the kernels serve both routes; only the
 front end, the interchange (`permute_workspace`), the guards and the
 output (`_scatter`) tell the two apart.
@@ -324,46 +327,44 @@ def permute_workspace(ws: DetectorWorkspace, l: int) -> DetectorWorkspace:
 
 def _swap_merged(ws: DetectorWorkspace, k) -> DetectorWorkspace:
     """`permute_workspace` per instance: block k[b] trades places with the
-    last block.  For each t, the instances with k == t are listed once;
-    an entry the swap of block t moves is copied once, and its value
-    under that swap is gathered at those instances and scattered in."""
+    last block.  Group t, the instances i with k == t, makes in place the
+    moves of `sbm_swap_blocks(., t, last)`.  A read-only entry is shared
+    (a prepared block's start) and is copied first (`_owned`); any other
+    was made by this recursion."""
     m = ws.m
     last = m - 1
-    hits = [(t, idx) for t in range(last) if (idx := np.flatnonzero(k == t)).size]
+    groups = [(t, i) for t in range(last) if (i := np.flatnonzero(k == t)).size]
+    if not groups:
+        return ws
+    uidx = ws.Rbar._uidx
+    z = _owned(ws.z)
+    # positions start as Python ints
+    p = [q if isinstance(q, np.ndarray) else np.full(k.shape, q) for q in ws.p[:m]]
+    mats = [(_owned(a.diag), _owned(u.a1 for u in a.upper), _owned(u.a2 for u in a.upper)) for a in (ws.Rbar, ws.Qbar)]
+    for t, i in groups:
+        # (entries, a, b, f): entries a and b trade values, each through f
+        moves = [(z, 2 * t, 2 * last, None), (z, 2 * t + 1, 2 * last + 1, None), (p, t, last, None)]
+        for diag, a1, a2 in mats:
+            moves.append((diag, t, last, None))
+            moves += [(x, uidx(r, t), uidx(r, last), None) for r in range(t) for x in (a1, a2)]
+            # blocks (t, r) and (r, last) trade as adjoints; block (t, last)
+            # becomes its own adjoint
+            pairs = [(uidx(t, r), uidx(r, last)) for r in range(t + 1, last)] + [(uidx(t, last),) * 2]
+            moves += [(x, u, v, f) for u, v in pairs for x, f in ((a1, np.conjugate), (a2, np.negative))]
+        for entries, a, b, f in moves:
+            # each takes the other's values; a == b makes one write
+            for j, v in {a: entries[b][i], b: entries[a][i]}.items():
+                entries[j][i] = v if f is None else f(v, out=v)
+    rbar, qbar = (StructuredHermitianBlockMatrix(m, tuple(d), tuple(map(AlamoutiBlock, *a))) for d, *a in mats)
+    return DetectorWorkspace(m, rbar, qbar, tuple(z), tuple(p) + ws.p[m:])
 
-    def merged(at, *pos):
-        # `at(*pos, idx)` reads the entry at pos for the instances idx
-        base = out = at(*pos, slice(None))
-        for t, idx in hits:
-            moved = tuple(last if q == t else t if q == last else q for q in pos)
-            if moved != pos:
-                if out is base:
-                    out = base.copy()
-                out[idx] = at(*moved, idx)
-        return out
 
-    def matrix(a):
-        def part(c):
-            # a lower-triangle read takes the adjoint of the gathered subset
-            def at(i, j, idx):
-                if i < j:
-                    return a.upper[a._uidx(i, j)][c][idx]
-                x = a.upper[a._uidx(j, i)][c][idx]
-                return -x if c else x.conjugate()
-            return at
-
-        diag = tuple(merged(lambda i, idx: a.diag[i][idx], i) for i in range(m))
-        upper = tuple(
-            AlamoutiBlock(merged(part(0), i, j), merged(part(1), i, j))
-            for i in range(m) for j in range(i + 1, m)
-        )
-        return StructuredHermitianBlockMatrix(m, diag, upper)
-
-    z = tuple(merged(lambda i, idx, o=s % 2: ws.z[2 * i + o][idx], s // 2) for s in range(2 * m))
-    # positions start as Python ints; broadcasting makes each an array
-    pos = [np.broadcast_to(q, k.shape) for q in ws.p[:m]]
-    p = tuple(merged(lambda i, idx: pos[i][idx], i) for i in range(m)) + ws.p[m:]
-    return DetectorWorkspace(m, matrix(ws.Rbar), matrix(ws.Qbar), z, p)
+def _owned(entries) -> list:
+    """The entries, each read-only one replaced by its copy.  The swap
+    makes every copy before it gathers anything: copies placed between
+    its gathered temporaries fragmented the heap, and a sweep's peak RSS
+    rose by about 8 MiB at (8, 8)."""
+    return [e if e.flags.writeable else e.copy() for e in entries]
 
 
 def estimate_layer(ws: DetectorWorkspace):
@@ -462,10 +463,12 @@ def _grow_workspace(rbar, z) -> DetectorWorkspace:
 
 def _recurse(ws: DetectorWorkspace, slicer, ordered, record_trace):
     """Detect every layer from a starting workspace, counting into the
-    current `flop_scope`; returns (decisions, soft, order, trace).  The
-    workspace is only read, so one start may serve several calls.
+    current `flop_scope`; returns (decisions, soft, order, trace).
     `slicer` is the route's QPSK slicer: `qpsk_slice` on one instance,
-    `qpsk_slice_array` over a block."""
+    `qpsk_slice_array` over a block.  A read-only start is left as it
+    was, so it may serve several calls.  The block route records no
+    trace: its Rbar entries pass from depth to depth through
+    `sbm_leading`, so a snapshot would see the later swaps."""
     m = ws.m
     trace = [] if record_trace else None
     steps = []

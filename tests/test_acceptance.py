@@ -11,13 +11,7 @@ import numpy as np
 
 from gstbc.alamouti import sbm_from_dense, sbm_to_dense
 from gstbc.channel import ChannelMatrix, NoiseSpec, equivalent_channel_batch, generate_channel, transmit
-from gstbc.complexity import (
-    asymptotic_speedup,
-    dsttd_speedup,
-    fit_scaling,
-    fit_square_cubic,
-    measure_flops,
-)
+from gstbc.complexity import asymptotic_speedup, cost_dense_sic, measure_flops
 from gstbc.detectors import (
     deflate_covariance,
     detect_gstbc,
@@ -176,28 +170,20 @@ def test_c5_noiseless_estimate_identity():
 
 
 def test_c6a_leading_coefficients_from_measured_counts():
-    cache = {}
-
-    def measured(m, n):
-        if (m, n) not in cache:
-            cache[(m, n)] = measure_flops(m, n).real_mults
-        return cache[(m, n)]
-
-    merged = fit_square_cubic(ms=(4, 8, 12, 16), count_fn=measured)
-    split = fit_scaling(ms=(4, 8, 12, 16), count_fn=measured)
-    err_merged = abs(merged - 56.0 / 3.0) / (56.0 / 3.0)
-    err_m2n = abs(split["m2n_coefficient"] - 8.0) / 8.0
-    err_m3 = abs(split["m3_coefficient"] - 32.0 / 3.0) / (32.0 / 3.0)
-    # square-only data cannot tell m^2 n from m^3 apart, so the merged
-    # cubic coefficient is checked on the stated grid and the split
-    # coefficients on the same grid widened by a receive-count difference
-    ok = err_merged <= 0.01 and err_m2n <= 0.01 and err_m3 <= 0.01
+    # the measured count is linear in N with slope 8M^2 + 12M, whose
+    # leading coefficient is that of M^2 N, and cubic in M with third
+    # difference 64 = 6 (32/3) at fixed N, so the M^3 coefficient is 32/3
+    slopes = {m: measure_flops(m, m + 1).real_mults - measure_flops(m, m).real_mults for m in (4, 8, 12, 16)}
+    counts = [measure_flops(m, 16) for m in (13, 14, 15, 16)]
+    third = {}
+    for kind in ("real_mults", "real_adds"):
+        c = [getattr(fc, kind) for fc in counts]
+        third[kind] = c[3] - 3 * c[2] + 3 * c[1] - c[0]
+    ok = all(s == 8 * m * m + 12 * m for m, s in slopes.items()) and set(third.values()) == {64}
     _report(
-        "C6a", "fitted leading coefficients 8 (M^2N) and 32/3 (M^3)",
+        "C6a", "leading coefficients 8 (M^2N) and 32/3 (M^3), exact",
         ok,
-        f"merged cubic {merged:.4f} vs 56/3 ({err_merged:.2%}), split "
-        f"{split['m2n_coefficient']:.4f}/{split['m3_coefficient']:.4f} "
-        f"({err_m2n:.2%}/{err_m3:.2%})",
+        f"N-slopes {slopes} vs 8M^2 + 12M, third differences in M at N = 16 {third} vs 64",
     )
 
 
@@ -224,8 +210,7 @@ def test_c6c_three_layer_mult_count():
 
 def test_c7_speedup_ratios():
     asym = asymptotic_speedup()
-    s4 = dsttd_speedup(4)
-    s8 = dsttd_speedup(8)
+    s4, s8 = (cost_dense_sic(n).total / measure_flops(2, n).total for n in (4, 8))
     ok = (
         abs(asym - 2.571) <= 0.01
         and abs(s4 - 1.54) / 1.54 <= 0.05

@@ -6,7 +6,7 @@ from gstbc.batch import PreparedBlock, detect_fixed_order_batch, detect_gstbc_ba
 from gstbc.alamouti import AlamoutiBlock, StructuredHermitianBlockMatrix, sbm_swap_blocks, sbm_to_dense
 from gstbc.channel import ChannelMatrix, equivalent_channel_batch
 from gstbc.complexity import cost_recursive
-from gstbc.detectors import SCALAR_DETECTORS, permute_workspace
+from gstbc.detectors import SCALAR_DETECTORS, DetectorWorkspace, permute_workspace
 from gstbc.errors import TIE_REL_TOL, InvalidDimensions, NonPositiveAlpha, SingularPivot
 from gstbc.flops import FlopCounter, flop_scope
 from gstbc.sim import DETECTORS as BATCH_PAIRS
@@ -289,30 +289,76 @@ def test_front_end_reads_the_gains():
         assert np.allclose(sbm_to_dense(_instance(rbar, b)), gram, rtol=1e-13, atol=1e-13)
 
 
-def test_block_swap_matches_scalar_swap():
-    # the per-instance swap equals, instance by instance and bitwise, the
-    # scalar swap of the same workspace, k == last included
-    rng = np.random.default_rng(54)
-    m, count = 4, 40
-    h, _, x = random_batch(rng, count, m, 4, 0.1)
-    ws = PreparedBlock(h, x, 0.1).workspace
-    rbar, z = ws.Rbar, ws.z
-    k = rng.integers(0, m, size=count)
-    k[:m] = np.arange(m)
-    swapped = permute_workspace(ws, 2 * (k + 1))
-    for b in range(count):
-        kb, last = int(k[b]), m - 1
-        zb = [v[b].item() for v in z]
+def _writeable_copy(ws):
+    """`ws` with every entry a writeable copy and the positions arrays."""
+    def copy(a):
+        upper = tuple(AlamoutiBlock(u.a1.copy(), u.a2.copy()) for u in a.upper)
+        return StructuredHermitianBlockMatrix(a.m, tuple(d.copy() for d in a.diag), upper)
+
+    p = tuple(np.full(len(ws.z[0]), q) for q in ws.p)
+    return DetectorWorkspace(ws.m, copy(ws.Rbar), copy(ws.Qbar), tuple(v.copy() for v in ws.z), p)
+
+
+def _workspace_arrays(ws):
+    """The entries of `ws` but its positions."""
+    return [*ws.z, *ws.Rbar.diag, *ws.Qbar.diag, *(a for m in (ws.Rbar, ws.Qbar) for u in m.upper for a in u)]
+
+
+def _assert_swapped(ws, k, swapped):
+    """Instance b of `swapped` is bitwise the scalar swap of instance b of
+    `ws`, block k[b] with the last."""
+    m, last = ws.m, ws.m - 1
+    for b in range(len(k)):
+        kb = int(k[b])
+        zb = [v[b].item() for v in ws.z]
         zb[2 * kb : 2 * kb + 2], zb[2 * last :] = zb[2 * last :], zb[2 * kb : 2 * kb + 2]
         pb = list(range(m))
         pb[kb], pb[last] = pb[last], pb[kb]
-        for got, want in ((swapped.Rbar, sbm_swap_blocks(_instance(rbar, b), kb, last)),
+        for got, want in ((swapped.Rbar, sbm_swap_blocks(_instance(ws.Rbar, b), kb, last)),
                           (swapped.Qbar, sbm_swap_blocks(_instance(ws.Qbar, b), kb, last))):
             assert all(_same_bits(d[b], e) for d, e in zip(got.diag, want.diag)), b
             assert all(_same_bits(u.a1[b], v.a1) and _same_bits(u.a2[b], v.a2)
                        for u, v in zip(got.upper, want.upper)), b
         assert all(_same_bits(v[b], w) for v, w in zip(swapped.z, zb)), b
         assert [int(np.broadcast_to(q, k.shape)[b]) for q in swapped.p] == pb, b
+
+
+def test_block_swap_matches_scalar_swap():
+    # the per-instance swap equals, instance by instance and bitwise, the
+    # scalar swap of the same workspace, with k drawn over every block,
+    # all equal to the last, or one group only.  A prepared start is
+    # read-only and stays as it was; a workspace of writeable entries is
+    # swapped in place, into its own arrays
+    rng = np.random.default_rng(54)
+    count = 40
+    for m in (1, 2, 3, 5, 8):
+        h, _, x = random_batch(rng, count, m, m, 0.1)
+        ws = PreparedBlock(h, x, 0.1).workspace
+        before = _workspace_bytes(ws)
+        drawn = rng.integers(0, m, size=count)
+        drawn[:m] = np.arange(m)
+        for k in (drawn, np.full(count, m - 1), np.full(count, (m - 1) // 2)):
+            _assert_swapped(ws, k, permute_workspace(ws, 2 * (k + 1)))
+            assert _workspace_bytes(ws) == before, (m, k)
+            own = _writeable_copy(ws)
+            arrays = [*_workspace_arrays(own), *own.p]
+            swapped = permute_workspace(own, 2 * (k + 1))
+            _assert_swapped(ws, k, swapped)
+            assert all(a is b for a, b in zip([*_workspace_arrays(swapped), *swapped.p], arrays, strict=True)), (m, k)
+            assert _workspace_bytes(ws) == before, (m, k)
+
+
+@pytest.mark.parametrize("layers, n_rx", [(1, 1), (3, 4)])
+def test_every_front_end_is_read_only(layers, n_rx):
+    # every detector on a block shares its front ends, so none may write
+    # them: the swap copies a read-only entry before its first write
+    rng = np.random.default_rng(61)
+    h, _, x = random_batch(rng, 5, layers, n_rx, 0.1)
+    block = PreparedBlock(h, x, 0.1)
+    rows, inv_diag = block.cholesky
+    arrays = [*block._entries, *_workspace_arrays(block.workspace), *inv_diag, *(a for row in rows for a in row)]
+    arrays.append(block.dense_inverse)
+    assert not any(a.flags.writeable for a in arrays)
 
 
 def _sic_order(q, live, groupwise, step, j):
@@ -427,9 +473,7 @@ def test_masked_sic_equals_explicit_downdate(layers, n_rx, snr_db):
 
 
 def _workspace_bytes(ws):
-    arrays = [*ws.z, *ws.Rbar.diag, *ws.Qbar.diag]
-    arrays += [a for m in (ws.Rbar, ws.Qbar) for u in m.upper for a in u]
-    return [np.asarray(a).tobytes() for a in arrays]
+    return [np.asarray(a).tobytes() for a in _workspace_arrays(ws)]
 
 
 @pytest.mark.parametrize("layers, n_rx", [(2, 8), (8, 8)])

@@ -5,9 +5,6 @@ from gstbc.complexity import (
     asymptotic_speedup,
     cost_dense_sic,
     cost_recursive,
-    dsttd_speedup,
-    fit_scaling,
-    fit_square_cubic,
     format_flop_report,
     measure_flops,
     published_formula,
@@ -100,8 +97,9 @@ def test_dense_sic_reference_points():
     n8 = cost_dense_sic(8)
     assert n4.total == 858
     assert n8.total == 4566
-    assert dsttd_speedup(4) == pytest.approx(858 / 556, abs=1e-12)
-    assert dsttd_speedup(8) == pytest.approx(4566 / 1004, abs=1e-12)
+    # the recursion's totals, the denominators of the DSTTD speedups
+    assert cost_recursive(2, 4).total == 556
+    assert cost_recursive(2, 8).total == 1004
 
 
 def test_asymptotic_speedup_value():
@@ -109,17 +107,19 @@ def test_asymptotic_speedup_value():
     assert asymptotic_speedup() == pytest.approx(2.5714, abs=5e-4)
 
 
-def test_fit_scaling_recovers_leading_coefficients():
-    fitted = fit_scaling(ms=(4, 8, 12, 16))
-    assert fitted["m2n_coefficient"] == pytest.approx(8.0, rel=0.01)
-    assert fitted["m3_coefficient"] == pytest.approx(32 / 3, rel=0.01)
-
-
-def test_fit_square_cubic_merges_coefficients():
-    # on square-only data the two leading terms are indistinguishable;
-    # the cubic coefficient of the merged fit is their sum
-    coeff = fit_square_cubic(ms=(4, 8, 12, 16))
-    assert coeff == pytest.approx(8 + 32 / 3, rel=0.01)
+def test_cost_recursive_leading_terms_are_exact():
+    # the count is linear in n with slope 8 m^2 + 12 m (the Gram's 8 m^2 n
+    # leads) and cubic in m with third difference 64 = 6 (8 + 8/3): the
+    # growth's 8 m^3 and the deflation's 8/3 m^3, for mults and adds alike
+    for m in range(1, 13):
+        for n in (m, m + 3):
+            assert cost_recursive(m, n + 1).real_mults - cost_recursive(m, n).real_mults == 8 * m * m + 12 * m
+    for n in (1, 8, 20):
+        for m in range(1, 10):
+            counts = [cost_recursive(m + d, n) for d in range(4)]
+            for kind in ("real_mults", "real_adds"):
+                c = [getattr(fc, kind) for fc in counts]
+                assert c[3] - 3 * c[2] + 3 * c[1] - c[0] == 64, (m, n, kind)
 
 
 def test_flop_report_roundtrip():
