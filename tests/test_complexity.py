@@ -107,10 +107,11 @@ def test_asymptotic_speedup_value():
     assert asymptotic_speedup() == pytest.approx(2.5714, abs=5e-4)
 
 
-def test_cost_recursive_leading_terms_are_exact():
-    # the count is linear in n with slope 8 m^2 + 12 m (the Gram's 8 m^2 n
-    # leads) and cubic in m with third difference 64 = 6 (8 + 8/3): the
-    # growth's 8 m^3 and the deflation's 8/3 m^3, for mults and adds alike
+def test_fit_scaling_recovers_leading_coefficients():
+    # the leading coefficients, exactly: the count is linear in n with slope
+    # 8 m^2 + 12 m (the Gram's 8 m^2 n leads) and cubic in m with third
+    # difference 64 = 6 (8 + 8/3), the growth's 8 m^3 and the deflation's
+    # 8/3 m^3, for mults and adds alike
     for m in range(1, 13):
         for n in (m, m + 3):
             assert cost_recursive(m, n + 1).real_mults - cost_recursive(m, n).real_mults == 8 * m * m + 12 * m
@@ -120,6 +121,16 @@ def test_cost_recursive_leading_terms_are_exact():
             for kind in ("real_mults", "real_adds"):
                 c = [getattr(fc, kind) for fc in counts]
                 assert c[3] - 3 * c[2] + 3 * c[1] - c[0] == 64, (m, n, kind)
+
+
+def test_fit_square_cubic_merges_coefficients():
+    # on square shapes (n = m) the two leading terms merge into one cubic:
+    # the third difference is 6 (8 + 32/3) = 112, for mults and adds alike
+    for m in range(1, 13):
+        counts = [cost_recursive(m + d, m + d) for d in range(4)]
+        for kind in ("real_mults", "real_adds"):
+            c = [getattr(fc, kind) for fc in counts]
+            assert c[3] - 3 * c[2] + 3 * c[1] - c[0] == 112, (m, kind)
 
 
 def test_flop_report_roundtrip():
