@@ -15,25 +15,25 @@ compressed form: one real scalar per diagonal block plus one Alamouti
 block per strict-upper off-diagonal position.  The lower triangle is
 implied by Hermitian symmetry and is never stored.
 
-The recursion runs on four kernels over whole matrices: `sbm_matvec`
-(Q v), `sbm_sub_outer` (Q - x y^H over the upper triangle: the growth
-border and the deflation), `sbm_swap_blocks` and `sbm_leading`.  Each
-works by rows (`upper_rows`; `sbm_from_rows` builds its result),
-conjugates each entry once and makes one charge in `gstbc.flops`, written
-as the primitives it performs: a block product is 4 complex mults + 2
-complex adds, a real scaling 4 real mults, data movement is free.  It
-applies the operations of the per-block helpers (`ab_*`, the tests'
-oracle) to the same operands in the same order, so it returns their
-values bit for bit.  A symbol pair (c1, c2) is the first column of
-`AlamoutiBlock(c1, c2)`.  Entries need only `*`, `+`, `-` and
-`.conjugate()`, so (B,) array entries hold B instances at once.  A kernel
-writes in place only into a product it has just made, never into an
-entry it was given: several detectors start from one state.
+The recursion runs on three kernels over whole matrices, `sbm_matvec`
+(Q v), `sbm_sub_outer` (Q - x y^H: the growth's and the deflation's one
+rank-one update) and `sbm_leading`, and on one list of the interchange's
+moves, `sbm_interchange`.  Each kernel works by rows (`upper_rows`;
+`sbm_from_rows` builds its result) and makes one charge in `gstbc.flops`
+of the primitives it performs.  It applies the operations of the
+per-block helpers (`ab_*`, the tests' oracle) to the same operands in
+the same order, so it returns their values bit for bit (the diagonal's
+real products, on Python numbers).  A symbol pair (c1, c2) is the first
+column of `AlamoutiBlock(c1, c2)`.  Entries need only arithmetic, `.real`,
+`.imag` and `.conjugate()`, so (B,) array entries hold B instances at
+once.  A kernel writes in place only into a product it has just made,
+never into an entry it was given: several detectors start from one state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from typing import NamedTuple
 
@@ -185,6 +185,22 @@ def sbm_from_rows(m: int, diag: tuple, rows: tuple) -> StructuredHermitianBlockM
     return a
 
 
+@lru_cache(maxsize=None)
+def sbm_interchange(m: int, t: int) -> tuple:
+    """Symmetric interchange of block t < m - 1 with the last, as moves
+    over the stored blocks: in each ((i, j), (k, l), adjoint), blocks
+    (i, j) and (k, l) trade values, each through its adjoint if `adjoint`.
+    Diagonal scalars t and m - 1 trade too, unlisted.  No flops."""
+    last = m - 1
+    return (
+        *(((r, t), (r, last), False) for r in range(t)),
+        # blocks (t, r) and (r, last) trade as adjoints; block (t, last)
+        # becomes its own adjoint
+        *(((t, r), (r, last), True) for r in range(t + 1, last)),
+        ((t, last), (t, last), True),
+    )
+
+
 def sbm_to_dense(a: StructuredHermitianBlockMatrix) -> np.ndarray:
     """Expand to the dense 2m x 2m Hermitian matrix."""
     n = 2 * a.m
@@ -244,27 +260,6 @@ def sbm_from_dense(dense, tol: float = 1e-9) -> StructuredHermitianBlockMatrix:
     return StructuredHermitianBlockMatrix(m, tuple(diag), tuple(upper))
 
 
-def sbm_swap_blocks(a: StructuredHermitianBlockMatrix, i: int, j: int) -> StructuredHermitianBlockMatrix:
-    """Symmetric block-row/column interchange; pure data movement, no flops.
-    By rows: only rows up to j change, and only those blocks the swap moves."""
-    if i == j:
-        return a
-    i, j = min(i, j), max(i, j)
-    rows = a.upper_rows()
-    out = list(rows)
-    for r in range(i):
-        row = list(rows[r])
-        row[i - r - 1], row[j - r - 1] = row[j - r - 1], row[i - r - 1]
-        out[r] = tuple(row)
-    for r in range(i + 1, j):
-        out[r] = rows[r][: j - r - 1] + (ab_adjoint(rows[i][r - i - 1]),) + rows[r][j - r :]
-    out[i] = tuple(ab_adjoint(rows[c][j - c - 1]) for c in range(i + 1, j)) + (ab_adjoint(rows[i][j - i - 1]),) + rows[j]
-    out[j] = rows[i][j - i :]
-    diag = list(a.diag)
-    diag[i], diag[j] = diag[j], diag[i]
-    return sbm_from_rows(a.m, tuple(diag), tuple(out))
-
-
 def sbm_leading(a: StructuredHermitianBlockMatrix, k: int) -> StructuredHermitianBlockMatrix:
     """Leading principal k-block submatrix; pure data movement."""
     return sbm_from_rows(k, a.diag[:k], tuple(row[: k - i - 1] for i, row in enumerate(a.upper_rows()[:k])))
@@ -307,12 +302,16 @@ def sbm_matvec(a: StructuredHermitianBlockMatrix, v) -> list:
     return out
 
 
-def sbm_sub_outer(rows, x, y, border=None) -> tuple:
-    """Rows of Q - x y^H over the strict upper triangle of k = len(x)
-    blocks: `ab_sub(Q_ij, ab_mul_adjoint(x[i], y[j]))`, Q's row i given as
-    `rows[i]` (blocks past column k - 1 unread).  With `border` (the growth
-    step's new last column) row i ends in border[i] and an empty row follows."""
+def sbm_sub_outer(a: StructuredHermitianBlockMatrix, x, y, border=None) -> tuple:
+    """Hermitian Q - x y^H over Q's leading k = len(x) blocks, as (diag,
+    rows): block (i, j) is `ab_sub(Q_ij, ab_mul_adjoint(x[i], y[j]))`, and
+    diagonal scalar i loses Re(x1 conj y1) + Re(x2 conj y2), the real part
+    of that product's first entry.  With `border` (the growth step's new
+    last column) row i ends in border[i] and an empty row follows."""
     k = len(x)
+    rows = a.upper_rows()
+    diag = [d - ((x1.real * y1.real + x1.imag * y1.imag) + (x2.real * y2.real + x2.imag * y2.imag))
+            for d, (x1, x2), (y1, y2) in zip(a.diag, x, y)]
     y1c = [y1.conjugate() for y1, _ in y[1:k]]
     out = []
     for i, (x1, x2) in enumerate(x[: k - 1]):
@@ -322,8 +321,8 @@ def sbm_sub_outer(rows, x, y, border=None) -> tuple:
             row.append(_new_tuple(AlamoutiBlock, (q1 - (x1 * yc + x2c * y2), q2 - (x2 * yc - x1c * y2))))
         out.append(tuple(row) if border is None else (*row, border[i]))
     out.append(() if border is None else (border[k - 1],))
-    # per block one block product and one block difference
+    # a block product and difference per block; per diagonal scalar two
+    # real parts of products (2 mults, 1 add each), a sum and a difference
     n = k * (k - 1) // 2
-    if n:
-        charge(*cost(cmul=4 * n, cadd=2 * n + 2 * n))
-    return tuple(out) if border is None else (*out, ())
+    charge(*cost(cmul=4 * n, cadd=2 * n + 2 * n, rmul=4 * k, radd=4 * k))
+    return tuple(diag), (tuple(out) if border is None else (*out, ()))

@@ -31,10 +31,10 @@ def cost_recursive(layers: int, n_rx: int) -> FlopCounter:
     ra += 16 * m * n - 4 * m
     rm += 1  # seed inverse of the leading block
     for k in range(1, m):  # inverse growth, one block layer at a time
-        rm += 24 * k * k - 3 * k + 1
+        rm += 24 * k * k - 4 * k + 1
         ra += 24 * k * k - 12 * k - 1
     for mm in range(m, 1, -1):  # detect, cancel, deflate
-        rm += (16 * mm - 12) + 16 * (mm - 1) + (8 * mm * mm - 15 * mm + 8)
+        rm += (16 * mm - 12) + 16 * (mm - 1) + (8 * mm * mm - 16 * mm + 9)
         ra += 16 * (mm - 1) + 16 * (mm - 1) + (8 * mm * mm - 20 * mm + 12)
     rm += 4  # last remaining layer
     return FlopCounter(real_mults=rm, real_adds=ra)

@@ -29,12 +29,14 @@ built equivalent channel.  Each compressed entry is a Python number for
 one instance, or a (B,) array for a block of B instances; a `flop_scope`
 around a block counts one instance.  The stages call the kernels of
 `gstbc.alamouti` and make one charge per loop; like the kernels they
-write in place only into what they allocated.  Over a block the
-interchange (`_swap_merged`) trades entries in place, and reads a
-read-only entry as shared: it copies every such entry before it writes.
-Every front end of a `batch.PreparedBlock` is read-only, so `_recurse`
-leaves such a start as it was.  The layer choice (`select_layer`, the
-argmin over the layer axis) and the kernels serve both routes; only the
+write in place only into what they allocated.  Their rank-one update
+multiplies an entry of the inverse only by one of order one, so scaling
+the input by a power of two scales every intermediate exactly.  Over a
+block the interchange (`_swap_merged`) makes the moves of
+`sbm_interchange` in place, copying each read-only (shared) entry before
+it writes.  Every front end of a `batch.PreparedBlock` is read-only, so
+`_recurse` leaves such a start as it was.  The layer choice
+(`select_layer`), the kernels and the moves serve both routes; only the
 front end, the interchange (`permute_workspace`), the guards and the
 output (`_scatter`) tell the two apart.
 
@@ -60,11 +62,12 @@ from .alamouti import (
     AlamoutiBlock,
     StructuredHermitianBlockMatrix,
     _new_tuple,
+    ab_adjoint,
     sbm_from_rows,
+    sbm_interchange,
     sbm_leading,
     sbm_matvec,
     sbm_sub_outer,
-    sbm_swap_blocks,
 )
 from .channel import ReceivedVector, _check_input, _check_shapes, equivalent_channel_batch
 from .dense import adjoint_apply, gj_inverse_hpd, gram_plus_alpha
@@ -252,10 +255,10 @@ def init_covariance(rbar: StructuredHermitianBlockMatrix) -> StructuredHermitian
 
         omega = 1 / (upsilon - v1^H Q v1),
 
-    the new block column is w = -omega (Q v), and the leading part becomes
-    Q + omega (Q v)(Q v)^H.  The quadratic form is computed once as a
-    complex number and must come out real; a stale imaginary part or a
-    non-positive denominator raises SingularPivot.
+    the new block column is w = -omega u with u = Q v, and the leading
+    part becomes Q - u w^H = Q + omega u u^H.  The quadratic form is
+    computed once as a complex number and must come out real; a stale
+    imaginary part or a non-positive denominator raises SingularPivot.
     """
     m = rbar.m
     scale = sum(rbar.diag) / m
@@ -274,12 +277,10 @@ def init_covariance(rbar: StructuredHermitianBlockMatrix) -> StructuredHermitian
         _pivot_guard(denom, scale, "covariance recursion")
         omega = 1.0 / denom
         w = [_new_tuple(AlamoutiBlock, (-omega * u1, -omega * u2)) for u1, u2 in u]
-        diag = [d + omega * ((u1.real * u1.real + u1.imag * u1.imag) + (u2.real * u2.real + u2.imag * u2.imag))
-                for d, (u1, u2) in zip(q.diag, u)]
-        diag.append(omega)
-        # the quadratic form, the denominator, its inverse, w and the diagonal
-        charge(*cost(cmul=2 * k, cadd=2 * k - 1, radd=1 + 2 * k, rdiv=1, rcmul=2 * k, cabs2=2 * k, rmul=k))
-        q = sbm_from_rows(mm, tuple(diag), sbm_sub_outer(q.upper_rows(), u, w, border=w))
+        # the quadratic form, the denominator, its inverse and w
+        charge(*cost(cmul=2 * k, cadd=2 * k - 1, radd=1, rdiv=1, rcmul=2 * k))
+        diag, rows = sbm_sub_outer(q, u, w, border=w)
+        q = sbm_from_rows(mm, (*diag, omega), rows)
     return q
 
 
@@ -311,24 +312,25 @@ def permute_workspace(ws: DetectorWorkspace, l: int) -> DetectorWorkspace:
     last = ws.m - 1
     if k == last:
         return ws
-    z = list(ws.z)
-    z[2 * k], z[2 * last] = z[2 * last], z[2 * k]
-    z[2 * k + 1], z[2 * last + 1] = z[2 * last + 1], z[2 * k + 1]
-    p = list(ws.p)
+    z, p = list(ws.z), list(ws.p)
+    z[2 * k : 2 * k + 2], z[2 * last :] = z[2 * last :], z[2 * k : 2 * k + 2]
     p[k], p[last] = p[last], p[k]
-    return DetectorWorkspace(
-        ws.m,
-        sbm_swap_blocks(ws.Rbar, k, last),
-        sbm_swap_blocks(ws.Qbar, k, last),
-        tuple(z),
-        tuple(p),
-    )
+    mats = []
+    for a in (ws.Rbar, ws.Qbar):
+        # the moves are made on the rows, which the result keeps
+        rows, diag = [list(row) for row in a.upper_rows()], list(a.diag)
+        for (i, j), (r, c), adjoint in sbm_interchange(ws.m, k):
+            x, y = rows[i][j - i - 1], rows[r][c - r - 1]
+            rows[i][j - i - 1], rows[r][c - r - 1] = (ab_adjoint(y), ab_adjoint(x)) if adjoint else (y, x)
+        diag[k], diag[last] = diag[last], diag[k]
+        mats.append(sbm_from_rows(ws.m, tuple(diag), tuple(map(tuple, rows))))
+    return DetectorWorkspace(ws.m, *mats, tuple(z), tuple(p))
 
 
 def _swap_merged(ws: DetectorWorkspace, k) -> DetectorWorkspace:
     """`permute_workspace` per instance: block k[b] trades places with the
     last block.  Group t, the instances i with k == t, makes in place the
-    moves of `sbm_swap_blocks(., t, last)`.  A read-only entry is shared
+    moves of `sbm_interchange(m, t)`.  A read-only entry is shared
     (a prepared block's start) and is copied first (`_owned`); any other
     was made by this recursion."""
     m = ws.m
@@ -344,13 +346,11 @@ def _swap_merged(ws: DetectorWorkspace, k) -> DetectorWorkspace:
     for t, i in groups:
         # (entries, a, b, f): entries a and b trade values, each through f
         moves = [(z, 2 * t, 2 * last, None), (z, 2 * t + 1, 2 * last + 1, None), (p, t, last, None)]
+        blocks = [(uidx(*u), uidx(*v), adjoint) for u, v, adjoint in sbm_interchange(m, t)]
         for diag, a1, a2 in mats:
             moves.append((diag, t, last, None))
-            moves += [(x, uidx(r, t), uidx(r, last), None) for r in range(t) for x in (a1, a2)]
-            # blocks (t, r) and (r, last) trade as adjoints; block (t, last)
-            # becomes its own adjoint
-            pairs = [(uidx(t, r), uidx(r, last)) for r in range(t + 1, last)] + [(uidx(t, last),) * 2]
-            moves += [(x, u, v, f) for u, v in pairs for x, f in ((a1, np.conjugate), (a2, np.negative))]
+            moves += [(x, u, v, f if adjoint else None)
+                      for u, v, adjoint in blocks for x, f in ((a1, np.conjugate), (a2, np.negative))]
         for entries, a, b, f in moves:
             # each takes the other's values; a == b makes one write
             for j, v in {a: entries[b][i], b: entries[a][i]}.items():
@@ -392,8 +392,9 @@ def deflate_covariance(ws: DetectorWorkspace) -> StructuredHermitianBlockMatrix:
     """Inverse of the leading Gram submatrix after removing the last block.
 
     Undoes the growth step: with omega the last inverse diagonal and w the
-    last inverse block column, the deflated inverse is T - (1/omega) w w^H
-    on the leading part.  Raises SingularPivot if omega has collapsed.
+    last inverse block column, the deflated inverse is T - wt w^H on the
+    leading part, with wt = w / omega of order one: no entry of the
+    inverse is squared.  Raises SingularPivot if omega has collapsed.
     """
     m = ws.m
     q = ws.Qbar
@@ -401,14 +402,11 @@ def deflate_covariance(ws: DetectorWorkspace) -> StructuredHermitianBlockMatrix:
     _pivot_guard(omega, sum(q.diag) / m, "covariance deflation")
     inv_omega = 1.0 / omega
     # row i ends in block (i, m - 1): w is the last block column
-    rows = q.upper_rows()
-    w = [row[-1] for row in rows[:-1]]
+    w = [row[-1] for row in q.upper_rows()[:-1]]
     wt = [_new_tuple(AlamoutiBlock, (inv_omega * w1, inv_omega * w2)) for w1, w2 in w]
-    diag = [d - inv_omega * ((w1.real * w1.real + w1.imag * w1.imag) + (w2.real * w2.real + w2.imag * w2.imag))
-            for d, (w1, w2) in zip(q.diag, w)]
-    # the inverse, wt and the diagonal
-    charge(*cost(rdiv=1, rcmul=2 * (m - 1), cabs2=2 * (m - 1), radd=2 * (m - 1), rmul=m - 1))
-    return sbm_from_rows(m - 1, tuple(diag), sbm_sub_outer(rows, wt, w))
+    # the inverse and wt
+    charge(*cost(rdiv=1, rcmul=2 * (m - 1)))
+    return sbm_from_rows(m - 1, *sbm_sub_outer(q, wt, w))
 
 
 def cancel_layer(ws: DetectorWorkspace, s1: complex, s2: complex) -> DetectorWorkspace:

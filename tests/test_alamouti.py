@@ -16,9 +16,9 @@ from gstbc.alamouti import (
     sbm_from_dense,
     sbm_leading,
     sbm_matvec,
-    sbm_swap_blocks,
     sbm_to_dense,
 )
+from gstbc.detectors import DetectorWorkspace, permute_workspace
 from gstbc.errors import StructureViolation
 from gstbc.flops import FlopCounter, charge, flop_scope
 
@@ -138,17 +138,19 @@ def test_sbm_from_dense_rejects_broken_structure():
 
 
 def test_sbm_swap_matches_dense_permutation():
+    # the interchange of block i with the last is P^T A P, entry for entry
     for m in (2, 3, 5):
         a = random_sbm(m)
         d = np.asarray(sbm_to_dense(a))
+        ws = DetectorWorkspace(m, a, a, (0j,) * (2 * m), tuple(range(m)))
+        j = m - 1
         for i in range(m):
-            for j in range(m):
-                swapped = sbm_swap_blocks(a, i, j)
-                perm = list(range(2 * m))
-                perm[2 * i], perm[2 * j] = perm[2 * j], perm[2 * i]
-                perm[2 * i + 1], perm[2 * j + 1] = perm[2 * j + 1], perm[2 * i + 1]
-                oracle = d[np.ix_(perm, perm)]
-                assert np.allclose(np.asarray(sbm_to_dense(swapped)), oracle), (m, i, j)
+            swapped = permute_workspace(ws, 2 * (i + 1)).Qbar
+            perm = list(range(2 * m))
+            perm[2 * i], perm[2 * j] = perm[2 * j], perm[2 * i]
+            perm[2 * i + 1], perm[2 * j + 1] = perm[2 * j + 1], perm[2 * i + 1]
+            oracle = d[np.ix_(perm, perm)]
+            assert np.array_equal(np.asarray(sbm_to_dense(swapped)), oracle), (m, i, j)
 
 
 def test_sbm_leading_is_principal_submatrix():

@@ -3,7 +3,7 @@ import pytest
 
 from gstbc import batch
 from gstbc.batch import PreparedBlock, detect_fixed_order_batch, detect_gstbc_batch
-from gstbc.alamouti import AlamoutiBlock, StructuredHermitianBlockMatrix, sbm_swap_blocks, sbm_to_dense
+from gstbc.alamouti import AlamoutiBlock, StructuredHermitianBlockMatrix, sbm_from_dense, sbm_to_dense
 from gstbc.channel import ChannelMatrix, equivalent_channel_batch
 from gstbc.complexity import cost_recursive
 from gstbc.detectors import SCALAR_DETECTORS, DetectorWorkspace, permute_workspace
@@ -305,8 +305,9 @@ def _workspace_arrays(ws):
 
 
 def _assert_swapped(ws, k, swapped):
-    """Instance b of `swapped` is bitwise the scalar swap of instance b of
-    `ws`, block k[b] with the last."""
+    """Instance b of `swapped`, and the scalar swap of instance b of `ws`,
+    are bitwise the dense permutation P^T A P that trades block k[b] with
+    the last."""
     m, last = ws.m, ws.m - 1
     for b in range(len(k)):
         kb = int(k[b])
@@ -314,18 +315,26 @@ def _assert_swapped(ws, k, swapped):
         zb[2 * kb : 2 * kb + 2], zb[2 * last :] = zb[2 * last :], zb[2 * kb : 2 * kb + 2]
         pb = list(range(m))
         pb[kb], pb[last] = pb[last], pb[kb]
-        for got, want in ((swapped.Rbar, sbm_swap_blocks(_instance(ws.Rbar, b), kb, last)),
-                          (swapped.Qbar, sbm_swap_blocks(_instance(ws.Qbar, b), kb, last))):
-            assert all(_same_bits(d[b], e) for d, e in zip(got.diag, want.diag)), b
-            assert all(_same_bits(u.a1[b], v.a1) and _same_bits(u.a2[b], v.a2)
-                       for u, v in zip(got.upper, want.upper)), b
-        assert all(_same_bits(v[b], w) for v, w in zip(swapped.z, zb)), b
-        assert [int(np.broadcast_to(q, k.shape)[b]) for q in swapped.p] == pb, b
+        perm = list(range(2 * m))
+        perm[2 * kb : 2 * kb + 2], perm[2 * last :] = perm[2 * last :], perm[2 * kb : 2 * kb + 2]
+        one = DetectorWorkspace(m, _instance(ws.Rbar, b), _instance(ws.Qbar, b),
+                                tuple(v[b].item() for v in ws.z), tuple(range(m)))
+        scalar = permute_workspace(one, 2 * (kb + 1))
+        for got, by_scalar, a in ((swapped.Rbar, scalar.Rbar, one.Rbar), (swapped.Qbar, scalar.Qbar, one.Qbar)):
+            want = sbm_from_dense(sbm_to_dense(a)[np.ix_(perm, perm)], tol=0)
+            for each in (_instance(got, b), by_scalar):
+                assert all(_same_bits(d, e) for d, e in zip(each.diag, want.diag, strict=True)), b
+                assert all(_same_bits(u.a1, v.a1) and _same_bits(u.a2, v.a2)
+                           for u, v in zip(each.upper, want.upper, strict=True)), b
+        for z in ([v[b] for v in swapped.z], scalar.z):
+            assert all(_same_bits(v, w) for v, w in zip(z, zb, strict=True)), b
+        assert [int(np.broadcast_to(q, k.shape)[b]) for q in swapped.p] == pb == list(scalar.p), b
 
 
 def test_block_swap_matches_scalar_swap():
-    # the per-instance swap equals, instance by instance and bitwise, the
-    # scalar swap of the same workspace, with k drawn over every block,
+    # the per-instance swap and the scalar swap of the same workspace
+    # equal, instance by instance and bitwise, the dense permutation, with
+    # k drawn over every block,
     # all equal to the last, or one group only.  A prepared start is
     # read-only and stays as it was; a workspace of writeable entries is
     # swapped in place, into its own arrays

@@ -174,7 +174,7 @@ def test_detect_singular_instance_exits_3(tmp_path, capsys):
 def test_flops_command(capsys):
     assert main(["flops", "--m", "2", "--n", "4"]) == 0
     out = capsys.readouterr().out
-    assert "297 real mults" in out and "291" in out
+    assert "295 real mults" in out and "291" in out
     assert main(["flops", "--m", "4", "--n", "2"]) == 2
     assert "error:" in capsys.readouterr().err
     assert main(["flops", "--m", "3", "--n", "3", "--detector", "linear_mmse"]) == 0

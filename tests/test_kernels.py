@@ -3,6 +3,8 @@
 Each kernel in `gstbc.alamouti` must equal, bit for bit and count for
 count, the per-block helper composition it stands for, on Python numbers
 (one instance) and on (B,) arrays (a block of B instances), for m = 1..8.
+The interchange, on either route, must equal the dense permutation
+P^T A P, instance by instance.
 Entries are drawn with signed zeros and exact ties among them, where a
 regrouped sum or a dropped sign would show.
 """
@@ -15,16 +17,16 @@ from gstbc.alamouti import (
     AlamoutiBlock,
     StructuredHermitianBlockMatrix,
     ab_add,
-    ab_adjoint,
     ab_adjoint_mul,
     ab_mul,
     ab_mul_adjoint,
     ab_scale_real,
     ab_sub,
+    sbm_from_dense,
     sbm_leading,
     sbm_matvec,
     sbm_sub_outer,
-    sbm_swap_blocks,
+    sbm_to_dense,
 )
 from gstbc.batch import PreparedBlock
 from gstbc.channel import ChannelMatrix
@@ -34,9 +36,10 @@ from gstbc.detectors import (
     _start_workspace,
     cancel_layer,
     estimate_layer,
+    permute_workspace,
     select_layer,
 )
-from gstbc.flops import FlopCounter, flop_scope
+from gstbc.flops import FlopCounter, cost, flop_scope
 from gstbc.modulation import qpsk_slice, qpsk_slice_array
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -105,6 +108,7 @@ def matvec_by_helpers(a, v):
 
 
 def sub_outer_by_helpers(a, x, y, border):
+    """The off-diagonal rows, counted; the diagonal is read apart."""
     k = len(x)
     rows = [[ab_sub(a.block(i, j), ab_mul_adjoint(x[i], y[j])) for j in range(i + 1, k)] for i in range(k)]
     if border is not None:
@@ -114,17 +118,36 @@ def sub_outer_by_helpers(a, x, y, border):
     return tuple(tuple(r) for r in rows)
 
 
-def swap_by_entries(a, i, j):
-    # every entry read through the permutation, the lower triangle as the
-    # adjoint of the stored block
-    perm = list(range(a.m))
-    perm[i], perm[j] = perm[j], perm[i]
-    diag = tuple(a.diag[p] for p in perm)
-    upper = tuple(
-        a.block(perm[r], perm[c]) if perm[r] < perm[c] else ab_adjoint(a.block(perm[c], perm[r]))
-        for r in range(a.m) for c in range(r + 1, a.m)
+def diag_by_helpers(a, x, y):
+    """Each diagonal scalar less the real part of the first entry of
+    `ab_mul_adjoint(x[i], y[i])`, on Python numbers: over a block instance
+    by instance, as numpy's complex product may round otherwise than the
+    real products that the kernel makes."""
+    def one(pick):
+        return [pick(d) - ab_mul_adjoint(AlamoutiBlock(pick(x1), pick(x2)), AlamoutiBlock(pick(y1), pick(y2))).a1.real
+                for d, (x1, x2), (y1, y2) in zip(a.diag, x, y)]
+
+    if not isinstance(a.diag[0], np.ndarray):
+        return tuple(one(lambda e: e))
+    per = [one(lambda e, b=b: e[b].item()) for b in range(B)]
+    return tuple(np.array(col) for col in zip(*per))
+
+
+def instance(a, b):
+    """Instance b of a block's compressed matrix, as Python numbers."""
+    return StructuredHermitianBlockMatrix(
+        a.m,
+        tuple(d[b].item() for d in a.diag),
+        tuple(AlamoutiBlock(u.a1[b].item(), u.a2[b].item()) for u in a.upper),
     )
-    return diag, upper
+
+
+def swap_by_dense(a, t):
+    """P^T A P for P the permutation that trades block t with the last,
+    compressed again with every entry taken as stored."""
+    perm = list(range(2 * a.m))
+    perm[2 * t : 2 * t + 2], perm[-2:] = perm[-2:], perm[2 * t : 2 * t + 2]
+    return sbm_from_dense(sbm_to_dense(a)[np.ix_(perm, perm)], tol=0)
 
 
 @SETTINGS
@@ -146,24 +169,42 @@ def test_sub_outer_equals_helper_differences(case, grow, cut):
     k = m if grow else max(1, m - (cut % m))
     x, y = v[:k], [AlamoutiBlock(p.a2, p.a1) for p in v[:k]]
     border = y if grow else None
-    got, c_got = counted(sbm_sub_outer, a.upper_rows(), x, y, border=border)
+    (diag, rows), c_got = counted(sbm_sub_outer, a, x, y, border=border)
     want, c_want = counted(sub_outer_by_helpers, a, x, y, border)
-    same(got, want)
-    assert c_got == c_want
+    same(rows, want)
+    # diagonal scalar i loses the real part of the helper product's first
+    # entry, charged as two real parts of products (2 mults and 1 add
+    # each), their sum and the difference
+    same(diag, diag_by_helpers(a, x, y))
+    mults, adds = cost(rmul=4 * k, radd=4 * k)
+    assert c_got == FlopCounter(c_want.real_mults + mults, c_want.real_adds + adds)
 
 
 @SETTINGS
-@given(matrices(), st.integers(0, 7), st.integers(0, 7))
-def test_swap_equals_entrywise_permutation(case, i, j):
-    m, _, a, _ = case
-    i, j = i % m, j % m
-    got, c = counted(sbm_swap_blocks, a, i, j)
-    diag, upper = swap_by_entries(a, i, j)
-    same(got.diag, diag)
-    same(got.upper, upper)
+@given(matrices(), st.integers(0, 7))
+def test_swap_equals_entrywise_permutation(case, t):
+    # one instance, or a block whose instances all choose block t: the
+    # block route swaps the drawn (writeable) entries in place, so the
+    # oracle is taken first, and its Gram is a copy
+    m, batch, a, v = case
+    t %= m
+    z = tuple(e for p in v for e in p)
+    if batch:
+        gram = StructuredHermitianBlockMatrix(m, tuple(d.copy() for d in a.diag),
+                                              tuple(AlamoutiBlock(u.a1.copy(), u.a2.copy()) for u in a.upper))
+        want = [swap_by_dense(instance(a, b), t) for b in range(B)]
+        got, c = counted(permute_workspace, DetectorWorkspace(m, gram, a, z, tuple(range(m))), np.full(B, 2 * (t + 1)))
+        got = [instance(got.Qbar, b) for b in range(B)]
+    else:
+        want = [swap_by_dense(a, t)]
+        got, c = counted(permute_workspace, DetectorWorkspace(m, a, a, z, tuple(range(m))), 2 * (t + 1))
+        # the kept rows match the flat triangle
+        assert got.Qbar.upper_rows() == StructuredHermitianBlockMatrix(m, got.Qbar.diag, got.Qbar.upper).upper_rows()
+        got = [got.Qbar]
+    for g, w in zip(got, want, strict=True):
+        same(g.diag, w.diag)
+        same(g.upper, w.upper)
     assert c == FlopCounter()
-    # the kept rows match the flat triangle
-    assert got.upper_rows() == StructuredHermitianBlockMatrix(m, got.diag, got.upper).upper_rows()
 
 
 @SETTINGS
