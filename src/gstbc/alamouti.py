@@ -202,18 +202,21 @@ def sbm_interchange(m: int, t: int) -> tuple:
 
 
 def sbm_to_dense(a: StructuredHermitianBlockMatrix) -> np.ndarray:
-    """Expand to the dense 2m x 2m Hermitian matrix."""
-    n = 2 * a.m
-    out = np.zeros((n, n), dtype=np.complex128)
-    for i in range(a.m):
-        d = a.diag[i]
-        out[2 * i, 2 * i] = d
-        out[2 * i + 1, 2 * i + 1] = d
-    for i in range(a.m):
-        for j in range(i + 1, a.m):
-            blk = ab_dense(a.upper[a._uidx(i, j)])
-            out[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = blk
-            out[2 * j : 2 * j + 2, 2 * i : 2 * i + 2] = blk.conj().T
+    """Expand to the dense 2m x 2m Hermitian matrix; with (B,) entries, to
+    a (B, 2m, 2m) array of one matrix per instance."""
+    k = 2 * np.arange(a.m)
+    i, j = 2 * np.array(np.triu_indices(a.m, 1))
+    d = np.moveaxis(np.array(a.diag), 0, -1)
+    a1, a2 = (np.moveaxis(np.array([u[p] for u in a.upper], dtype=np.complex128), 0, -1) for p in (0, 1))
+    out = np.zeros((*np.shape(d)[:-1], 2 * a.m, 2 * a.m), dtype=np.complex128)
+    out[..., k, k] = out[..., k + 1, k + 1] = d
+    # block (i, j) and, below the diagonal, its adjoint
+    out[..., i, j] = out[..., j + 1, i + 1] = a1
+    out[..., i + 1, j] = a2
+    out[..., j + 1, i] = -a2
+    out[..., i, j + 1] = -np.conj(a2)
+    out[..., j, i + 1] = np.conj(a2)
+    out[..., i + 1, j + 1] = out[..., j, i] = np.conj(a1)
     return out
 
 

@@ -7,7 +7,7 @@ and soft values.
 
 Every engine reads its block through a `PreparedBlock`, which checks the
 block once and computes each front end on first use: the recursion's
-compressed Gram and matched filter and its starting state, the Cholesky
+compressed Gram and matched filter and its starting state, the block
 factor of the regularized Gram, and that Gram's inverse.  A sweep builds
 one per slice of a drawn block (at most `sim.SLICE_SIZE` instances) and
 passes it as `prepared=` to every detector, so the front ends are
@@ -30,21 +30,23 @@ other front end is built from them.
 `proposed` and `fixed_order` run the counted recursion of
 `gstbc.detectors` itself over those (B,) entries, from `init_covariance`
 on; building the start charges what `matched_filter` and `init_gram`
-charge, so a `flop_scope` around an unprepared call counts one
-instance.  The dense references share one factor, G = L L^H of the
-regularized Gram (`PreparedBlock.cholesky`), grown over (B,) entries read
-straight from the compressed ones, as the recursion's are; no LAPACK
-routine is called, since for the small Grams of a sweep its per-instance
-call costs more than the arithmetic.  `linear_mmse` is two triangular
-solves on that factor.  The two symbol-wise SIC references share
-`_masked_sic`, which makes the decisions of `detectors._dense_sic`
-without re-inverting: it forms the estimates u = Q z once from the
-block's inverse Q = L^-H L^-1 (`PreparedBlock.dense_inverse`) and, after
-each detected symbol, downdates Q by rank one and updates u through the
-same column of Q.  It keeps the downdates as rank-one terms and applies
-them only to the (B, 2M) column and diagonal that the next step reads, so
-the shared inverse is never copied or rewritten and no Gram is read.
-Every engine slices to QPSK.
+charge, so a `flop_scope` around an unprepared call counts one instance
+exactly.  The dense references share one factor of the regularized Gram
+G, grown over Alamouti blocks of (B,) entries by the recursion's rank-one
+update but from none of its state (`PreparedBlock.cholesky`), and one
+block solve on it (`PreparedBlock.solve`), which gives `linear_mmse` and
+the inverse Q = G^-1 (`PreparedBlock.dense_inverse`).  No LAPACK routine
+is called: for the small Grams of a sweep its per-instance call costs
+more than the arithmetic.  A `flop_scope` around a dense reference
+counts only the factor's rank-one updates, sum_{k=1}^{M-1} (8k^2 - 4k)
+real mults and as many adds per instance.  The two symbol-wise SIC
+references share `_masked_sic`, which makes the decisions of
+`detectors._dense_sic` without re-inverting: it forms the estimates
+u = Q z once and, after each detected symbol, downdates Q by rank one
+and updates u through the same column of Q.  It keeps the downdates as
+rank-one terms and applies them only to the (B, 2M) column and diagonal
+that the next step reads, so the shared inverse is never copied or
+rewritten and no Gram is read.  Every engine slices to QPSK.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from . import detectors
-from .alamouti import AlamoutiBlock, StructuredHermitianBlockMatrix
+from .alamouti import AlamoutiBlock, StructuredHermitianBlockMatrix, sbm_from_rows, sbm_sub_outer, sbm_to_dense
 from .channel import _check_input
 from .errors import PIVOT_REL_TOL, TIE_REL_TOL, SingularPivot
 from .flops import charge
@@ -107,14 +109,14 @@ class PreparedBlock:
     same block: `compressed`, the recursion's compressed regularized Gram
     and matched filter, built from one product per chunk of instances;
     `workspace`, the recursion's starting state grown from them;
-    `cholesky`, the Gram's factor L L^H, read from the compressed entries,
-    which `linear_mmse` solves with; `dense_inverse`, the Gram's inverse
-    from that factor, which the SIC references downdate.  Every array is
-    marked read-only: detectors share them, and the recursion's swap
-    copies an entry before it writes one.  A Gram with a vanishing
-    factor pivot raises `SingularPivot`.  After `drop_gains` the block
-    holds no gains or samples (`h` and `x` are None) and every front end
-    is built from the compressed entries alone.
+    `cholesky`, the Gram's block factor U U^H, grown from the compressed
+    entries, which `solve` solves with for `linear_mmse`; `dense_inverse`,
+    the Gram's inverse from those solves, which the SIC references
+    downdate.  Every array is marked read-only: detectors share them, and
+    the recursion's swap copies an entry before it writes one.  A Gram
+    with a vanishing factor pivot raises `SingularPivot`.  After
+    `drop_gains` the block holds no gains or samples (`h` and `x` are
+    None) and every front end is built from the compressed entries alone.
     """
 
     def __init__(self, h, x, alpha):
@@ -202,106 +204,87 @@ class PreparedBlock:
 
     @cached_property
     def cholesky(self) -> tuple:
-        """The factor G = L L^H of each instance's regularized Gram G, as
-        (rows, inv_diag): rows[i][k] is L[i, k] for k < i and inv_diag[i]
-        is 1 / L[i, i], each a (B,) array.
+        """The factor G = U U^H of each instance's regularized Gram G, as
+        (inv_diag, cols) of (B,) entries: U is block upper triangular, its
+        diagonal block k is I / inv_diag[k], and cols[k] holds its k
+        Alamouti blocks U[i, k], i < k.
 
-        The factor is grown a column at a time (Crout order): with d_j =
-        G[j, j] - sum_k |L[j, k]|^2 the column's pivot, L[j, j] = sqrt(d_j)
-        and L[i, j] = (G[i, j] - sum_k L[i, k] conj(L[j, k])) / L[j, j] for
-        i > j.  G is never written out: each G[i, j] below the diagonal is
-        read from the compressed entries (`_gram_lower`), and G[j, j] is a
-        diagonal scalar.  A pivot at or below PIVOT_REL_TOL times the
-        instance's mean diagonal (the rule of `dense.gj_inverse_hpd`)
-        raises `SingularPivot` once every column is done, naming how many
-        instances failed.  A NaN or +inf pivot passes: it reaches the
-        estimates and the downdate pivots, whose guards name it.
+        The last layer goes first.  With S the Schur complement still to
+        factor (at first the compressed Gram), d its last diagonal scalar
+        and b its last block column, U's column is u = b / sqrt(d), and S
+        becomes its leading blocks less u u^H, by `sbm_sub_outer`, which
+        charges.  A pivot d at or below PIVOT_REL_TOL times the instance's
+        mean diagonal (the rule of `dense.gj_inverse_hpd`) raises
+        `SingularPivot` once every layer is done, naming how many instances
+        failed.  A NaN or +inf pivot passes, for the guards of the
+        estimates and the downdate pivots to name.
         """
-        rbar = self.compressed[0]
-        n, b = 2 * rbar.m, len(rbar.diag[0])
-        tol = PIVOT_REL_TOL * np.maximum(sum(rbar.diag) / rbar.m, 1e-300)
+        s = self.compressed[0]
+        m, b = s.m, len(s.diag[0])
+        tol = PIVOT_REL_TOL * np.maximum(sum(s.diag) / m, 1e-300)
         bad = np.zeros(b, dtype=bool)
-        # row i of L, grown one entry per column
-        rows = [[] for _ in range(n)]
-        inv_diag = []
-        tmp = np.empty(b, dtype=np.complex128)
-        for j in range(n):
-            # the conjugates of row j, which only column j reads
-            conj_row = [np.conjugate(x) for x in rows[j]]
-            d = rbar.diag[j // 2].copy()
-            for x, cx in zip(rows[j], conj_row):
-                d -= np.multiply(x, cx, out=tmp).real
+        inv_diag, cols = [None] * m, [None] * m
+        for k in reversed(range(m)):
+            d = s.diag[k]
             if not (d > tol).all():
                 # NaN and +inf pass; a failed pivot is set to 1 so that
-                # the other columns run quietly before the error
+                # the other layers run quietly before the error
                 fail = (d <= tol) & (d < np.inf)
                 bad |= fail
-                d[fail] = 1.0
-            r = np.divide(1.0, np.sqrt(d, out=d), out=d)
-            inv_diag.append(r)
-            for i in range(j + 1, n):
-                acc = _gram_lower(rbar, i, j)
-                for x, cx in zip(rows[i], conj_row):
-                    acc -= np.multiply(x, cx, out=tmp)
-                acc *= r
-                rows[i].append(acc)
+                d = np.where(fail, 1.0, d)
+            inv_diag[k] = r = 1.0 / np.sqrt(d)
+            cols[k] = u = tuple(AlamoutiBlock(a1 * r, a2 * r) for a1, a2 in (row[-1] for row in s.upper_rows()[:k]))
+            if k:
+                s = sbm_from_rows(k, *sbm_sub_outer(s, u, u))
         if bad.any():
             raise SingularPivot(f"regularized Gram is singular in {np.count_nonzero(bad)} of {b} instances")
-        for a in (*inv_diag, *(x for row in rows for x in row)):
+        for a in (*inv_diag, *(x for col in cols for blk in col for x in blk)):
             a.flags.writeable = False
-        return tuple(map(tuple, rows)), tuple(inv_diag)
+        return tuple(inv_diag), tuple(cols)
+
+    def solve(self, z) -> list:
+        """The leading symbol pairs of G^-1 z, as many as `z` lists: its
+        pairs past those are zero, a tail that the solve skips.  U y = z is
+        solved from the last pair up, then U^H s = y from the first.  A
+        block times a pair is the first column of their product."""
+        r, cols = self.cholesky
+        n, tmp = len(z), np.empty(len(r[0]), dtype=np.complex128)
+        y = [None] * n
+        for i in reversed(range(n)):
+            y1, y2 = (np.full(len(tmp), c, dtype=np.complex128) for c in z[i])
+            for (u1, u2), (v1, v2) in zip((col[i] for col in cols[i + 1 : n]), y[i + 1 :]):
+                y1 -= np.multiply(u1, v1, out=tmp)
+                y1 += np.multiply(np.conjugate(u2, out=tmp), v2, out=tmp)
+                y2 -= np.multiply(u2, v1, out=tmp)
+                y2 -= np.multiply(np.conjugate(u1, out=tmp), v2, out=tmp)
+            y[i] = (y1 * r[i], y2 * r[i])
+        s = []
+        for i in range(n):
+            y1, y2 = y[i]
+            for (u1, u2), (v1, v2) in zip(cols[i], s):
+                y1 -= np.multiply(np.conjugate(u1, out=tmp), v1, out=tmp)
+                y1 -= np.multiply(np.conjugate(u2, out=tmp), v2, out=tmp)
+                y2 -= np.multiply(u1, v2, out=tmp)
+                y2 += np.multiply(u2, v1, out=tmp)
+            s.append((y1 * r[i], y2 * r[i]))
+        return s
 
     @cached_property
     def dense_inverse(self) -> np.ndarray:
-        """The regularized Gram's inverse G^-1 = L^-H L^-1 from `cholesky`,
-        batch-first (B, 2M, 2M).
+        """The regularized Gram's inverse G^-1, batch-first (B, 2M, 2M).
 
-        W = L^-1 is lower triangular: W[c, c] = 1 / L[c, c] and, below it,
-        W[j, c] = -(sum_{c <= k < j} L[j, k] W[k, c]) / L[j, j].  Entry
-        (i, c), i <= c, of the inverse is sum_{j >= c} conj(W[j, i]) W[j, c]
-        and entry (c, i) its conjugate, so the diagonal is real.
+        G^-1 is blockwise Alamouti, with real scalar diagonal blocks, as G
+        is.  The solve of the unit pair (1, 0) at layer k gives the first
+        column, so the whole, of its blocks (i, k), i <= k (of block (k, k)
+        the real scalar), and `sbm_to_dense` expands them once.
         """
-        rows, r = self.cholesky
-        n, b = len(r), len(r[0])
-        tmp = np.empty(b, dtype=np.complex128)
-        # w[c] is column c of W below the diagonal: w[c][j - c - 1] = W[j, c]
-        w = [[] for _ in range(n)]
-        for j in range(n):
-            for c in range(j):
-                acc = rows[j][c] * r[c]
-                for x, y in zip(rows[j][c + 1 :], w[c]):
-                    acc += np.multiply(x, y, out=tmp)
-                acc *= -r[j]
-                w[c].append(acc)
-        q = np.empty((b, n, n), dtype=np.complex128)
-        for i in range(n):
-            conj_col = [np.conjugate(x) for x in w[i]]
-            acc = r[i] * r[i]
-            for x, cx in zip(w[i], conj_col):
-                acc += np.multiply(x, cx, out=tmp).real
-            q[:, i, i] = acc
-            for c in range(i + 1, n):
-                acc = conj_col[c - i - 1] * r[c]
-                for x, y in zip(conj_col[c - i :], w[c]):
-                    acc += np.multiply(x, y, out=tmp)
-                q[:, i, c] = acc
-                np.conjugate(acc, out=q[:, c, i])
+        m = len(self.cholesky[0])
+        cols = [self.solve([(0.0, 0.0)] * k + [(1.0, 0.0)]) for k in range(m)]
+        diag = tuple(np.real(col[k][0]) for k, col in enumerate(cols))
+        upper = tuple(AlamoutiBlock(*cols[j][i]) for i in range(m) for j in range(i + 1, m))
+        q = sbm_to_dense(StructuredHermitianBlockMatrix(m, diag, upper))
         q.flags.writeable = False
         return q
-
-
-def _gram_lower(rbar, i, j) -> np.ndarray:
-    """Entry (i, j), i > j, of the dense Gram whose compressed form is
-    `rbar`, as a new (B,) array.  It sits in the adjoint of upper block
-    (j // 2, i // 2), [[conj(a1), conj(a2)], [-a2, a1]], or is the zero
-    below a diagonal block's diagonal."""
-    (li, pi), (lj, pj) = divmod(i, 2), divmod(j, 2)
-    if li == lj:
-        return np.zeros(len(rbar.diag[0]), dtype=np.complex128)
-    a1, a2 = rbar.upper_rows()[lj][li - lj - 1]
-    if pj == 0:
-        return np.conjugate(a1) if pi == 0 else np.negative(a2)
-    return np.conjugate(a2) if pi == 0 else a1.copy()
 
 
 def _prepare(h, x, alpha, prepared) -> PreparedBlock:
@@ -334,26 +317,9 @@ def detect_fixed_order_batch(h, x, alpha, prepared=None) -> BatchDetection:
 def detect_linear_mmse_batch(h, x, alpha, prepared=None) -> BatchDetection:
     """Batched mirror of `detectors.detect_linear_mmse`."""
     block = _prepare(h, x, alpha, prepared)
-    rows, r = block.cholesky
-    z = block.compressed[1]
-    n, b = len(r), len(r[0])
-    tmp = np.empty(b, dtype=np.complex128)
-    # L y = z, then L^H s = y for conj(s), over y in place: conj(s)[j] =
-    # (conj(y[j]) - sum_{k > j} L[k, j] conj(s)[k]) / L[j, j]
-    y = []
-    for j in range(n):
-        acc = z[j].copy()
-        for l_jk, y_k in zip(rows[j], y):
-            acc -= np.multiply(l_jk, y_k, out=tmp)
-        acc *= r[j]
-        y.append(acc)
-    soft = np.empty((b, n), dtype=np.complex128)
-    for j in reversed(range(n)):
-        acc = np.conjugate(y[j], out=y[j])
-        for k in range(j + 1, n):
-            acc -= np.multiply(rows[k][j], y[k], out=tmp)
-        acc *= r[j]
-        np.conjugate(acc, out=soft[:, j])
+    z = block._entries[3]
+    pairs = block.solve(list(zip(z[0::2], z[1::2])))
+    soft = np.ascontiguousarray(np.transpose([c for pair in pairs for c in pair]))
     ok = np.isfinite(soft).all(axis=1)
     if not ok.all():
         detectors._block_guard(ok, "linear MMSE estimate is not finite", np.abs(soft).max(axis=1), np.max)
@@ -363,7 +329,8 @@ def detect_linear_mmse_batch(h, x, alpha, prepared=None) -> BatchDetection:
 def _masked_sic(block, groupwise):
     """Dense MMSE-SIC over all 2M symbols with one inverse per block.
 
-    The block's regularized Gram G is inverted once, and u = Q z, the
+    The block's regularized Gram G is inverted once, Q = G^-1 from the
+    factor's solves (`PreparedBlock.dense_inverse`), and u = Q z, the
     MMSE estimates of the undetected symbols from the current inverse Q
     and the matched filter z, is formed once.  At each step the chosen
     symbol j is estimated as y = u[j] and sliced to d.  Q is then

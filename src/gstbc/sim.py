@@ -19,7 +19,7 @@ A block is drawn into separate arrays of at most SLICE_SIZE instances
 each, and detected a slice at a time.  Each slice is wrapped once in a
 `batch.PreparedBlock`, so the detectors share its checks and front ends
 (the recursion's compressed entries and starting state, the Gram's
-Cholesky factor and its inverse) instead of each rebuilding them.  Every
+block factor and its inverse) instead of each rebuilding them.  Every
 slice's compressed entries are built, and its gains and samples dropped,
 before any detector runs; the detectors then read each slice through its
 entries alone, and a slice's other front ends are dropped before the

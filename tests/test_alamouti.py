@@ -107,6 +107,16 @@ def test_sbm_dense_is_hermitian_with_scalar_diag_blocks():
     for i in range(4):
         blk = d[2 * i : 2 * i + 2, 2 * i : 2 * i + 2]
         assert np.allclose(blk, a.diag[i] * np.eye(2))
+    # with (B,) entries, one expansion per instance, bitwise
+    for m in (1, 2, 4):
+        instances = [random_sbm(m) for _ in range(3)]
+        stacked = StructuredHermitianBlockMatrix(
+            m,
+            tuple(np.array(d) for d in zip(*(a.diag for a in instances))),
+            tuple(AlamoutiBlock(*map(np.array, zip(*u))) for u in zip(*(a.upper for a in instances))),
+        )
+        want = np.stack([sbm_to_dense(a) for a in instances])
+        assert sbm_to_dense(stacked).tobytes() == want.tobytes(), m
 
 
 def test_sbm_block_lower_is_adjoint_of_upper():

@@ -8,7 +8,7 @@ from gstbc.channel import ChannelMatrix, equivalent_channel_batch
 from gstbc.complexity import cost_recursive
 from gstbc.detectors import SCALAR_DETECTORS, DetectorWorkspace, permute_workspace
 from gstbc.errors import TIE_REL_TOL, InvalidDimensions, NonPositiveAlpha, SingularPivot
-from gstbc.flops import FlopCounter, flop_scope
+from gstbc.flops import FlopCounter, cost, flop_scope
 from gstbc.sim import DETECTORS as BATCH_PAIRS
 from gstbc.modulation import qpsk_slice_array
 from gstbc.sim import sigma_n2_for_snr
@@ -239,6 +239,25 @@ def test_batch_recursion_counts_one_instance(layers, n_rx):
         assert counter == want, fn.__name__
 
 
+@pytest.mark.parametrize("layers, n_rx", [(1, 1), (2, 8), (4, 4), (8, 8)])
+def test_batch_references_count_their_factor(layers, n_rx):
+    # of the dense references only the factor charges: one instance's
+    # rank-one updates, sbm_sub_outer over the leading k blocks for k =
+    # M - 1 down to 1
+    rng = np.random.default_rng(63)
+    h, _, x = random_batch(rng, 5, layers, n_rx, 0.1)
+    want = FlopCounter()
+    for k in range(1, layers):
+        n = k * (k - 1) // 2
+        mults, adds = cost(cmul=4 * n, cadd=2 * n + 2 * n, rmul=4 * k, radd=4 * k)
+        want.real_mults += mults
+        want.real_adds += adds
+    for name in ("linear_mmse", "osic_symbolwise", "sic_groupwise"):
+        with flop_scope(FlopCounter()) as counter:
+            BATCH_PAIRS[name](h, x, alpha=0.1)
+        assert counter == want, name
+
+
 def test_batch_guard_counts_failing_instances():
     # one instance with a silent layer and a vanishing regularizer: the
     # block fails, and the message says how many instances did
@@ -364,8 +383,8 @@ def test_every_front_end_is_read_only(layers, n_rx):
     rng = np.random.default_rng(61)
     h, _, x = random_batch(rng, 5, layers, n_rx, 0.1)
     block = PreparedBlock(h, x, 0.1)
-    rows, inv_diag = block.cholesky
-    arrays = [*block._entries, *_workspace_arrays(block.workspace), *inv_diag, *(a for row in rows for a in row)]
+    inv_diag, cols = block.cholesky
+    arrays = [*block._entries, *_workspace_arrays(block.workspace), *inv_diag, *(a for col in cols for u in col for a in u)]
     arrays.append(block.dense_inverse)
     assert not any(a.flags.writeable for a in arrays)
 
@@ -508,7 +527,7 @@ def test_chunked_front_ends_equal_whole_block(layers, n_rx, monkeypatch):
         want_g = hh @ hp
         want_g[:, idx, idx] += 0.1
         want_z = (hh @ x[:, :, None])[:, :, 0]
-        g = np.array([sbm_to_dense(_instance(rbar, b)) for b in range(count)])
+        g = sbm_to_dense(rbar)
         for got, want in ((g, want_g), (np.array(z).T, want_z)):
             err = np.abs(got - want).reshape(count, -1).max(axis=1)
             assert np.all(err <= 1e-13 * np.abs(want).reshape(count, -1).max(axis=1)), count
