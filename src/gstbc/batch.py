@@ -6,16 +6,15 @@ detectors do (`channel._check_input`), and return (B, 2M) decisions
 and soft values.
 
 Every engine reads its block through a `PreparedBlock`, which checks the
-block once and computes each front end on first use: the recursion's
-compressed Gram and matched filter and its starting state, the block
-factor of the regularized Gram, and that Gram's inverse.  A sweep builds
-one per slice of a drawn block (at most `sim.SLICE_SIZE` instances) and
-passes it as `prepared=` to every detector, so the front ends are
-computed once per slice and only one slice's are held beyond its
-compressed entries.  Once those exist a block can let go of its gains
-and samples (`PreparedBlock.drop_gains`), which nothing else reads; a
-sweep does so for every slice before it detects any.  A call without
-`prepared` builds its own block, so both calls run the same code.
+block and builds the recursion's compressed Gram and matched filter
+(`_compressed`) when it is made, and keeps no gains or samples: every
+other front end is built from those entries on first use (the
+recursion's starting state, the block factor of the regularized Gram,
+and that Gram's inverse).  A sweep builds one per slice of a drawn block
+(at most `sim.SLICE_SIZE` instances) and passes it as `prepared=`, with
+h = x = None and the block's alpha, to every detector, so the front ends
+are computed once per slice.  A call without `prepared` builds its own
+block, so both calls run the same code.
 
 The compressed entries come from one batched product per chunk of instances
 (`CHUNK_BYTES` of gains each), P = h^T conj([h | x1 | conj(x2)]) with
@@ -24,8 +23,7 @@ equivalent channel makes every block of its Gram Alamouti, so a block's
 two parts and a diagonal scalar are each a sum or difference of two
 entries of P, and so is each matched-filter entry: that is about half the
 dense Gram's products, and no equivalent channel is ever built.  The
-compressed entries are stored batch-last, one (B,) array each, and every
-other front end is built from them.
+compressed entries are stored batch-last, one (B,) array each.
 
 `proposed` and `fixed_order` run the counted recursion of
 `gstbc.detectors` itself over those (B,) entries, from `init_covariance`
@@ -84,7 +82,7 @@ def _chunk_len(h) -> int:
 
 def _product_index(m: int) -> tuple:
     """Where the compressed entries' terms sit in the flattened product
-    P (2M x (2M + 2)) of `PreparedBlock.compressed`, and where they go.
+    P (2M x (2M + 2)) of `_compressed`, and where they go.
 
     Returns the flat positions of P[2j, 2i], P[2i+1, 2j+1], P[2j, 2i+1],
     P[2i, 2j+1] over the pairs i < j (row-major, as `upper` holds them),
@@ -100,95 +98,78 @@ def _product_index(m: int) -> tuple:
     return np.concatenate(groups), [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
+def _compressed(h, x, alpha) -> tuple:
+    """The compressed regularized Gram (a `StructuredHermitianBlockMatrix`)
+    and the matched filter's 2M entries of a checked block, each entry a
+    read-only (B,) array.
+
+    Per instance, with a = h[:, 0::2], b = h[:, 1::2], x1 = x[0::2]
+    and x2 = x[1::2], one product P = h^T conj([h | x1 | conj(x2)])
+    holds every sum needed.  Block (i, j) of the Gram is Alamouti with
+    a1 = a_i^H a_j + conj(b_i^H b_j) = P[2j, 2i] + P[2i+1, 2j+1] and
+    a2 = b_i^H a_j - a_i^T conj(b_j) = P[2j, 2i+1] - P[2i, 2j+1]; its
+    diagonal scalar i is Re(P[2i, 2i]) + Re(P[2i+1, 2i+1]) + alpha;
+    and the matched filter's pair i is (a_i^H x1 + b_i^T x2,
+    b_i^H x1 - a_i^T x2) = (conj(P[2i, 2M]) + P[2i+1, 2M+1],
+    conj(P[2i+1, 2M]) - P[2i, 2M+1]).  The products are made a chunk
+    of instances at a time and each entry is stored batch-last, one
+    (B,) row.
+    """
+    b, n, two_m = h.shape
+    m = two_m // 2
+    step = _chunk_len(h)
+    index, (p1, q1, p2, q2, sq, f, y) = _product_index(m)
+    diag = np.empty((m, b))
+    a1 = np.empty((m * (m - 1) // 2, b), dtype=np.complex128)
+    a2 = np.empty_like(a1)
+    z = np.empty((two_m, b), dtype=np.complex128)
+    rhs = np.empty((min(step, b), n, two_m + 2), dtype=np.complex128)
+    prod = np.empty((min(step, b), two_m, two_m + 2), dtype=np.complex128)
+    for lo in range(0, b, step):
+        hc, xc = h[lo : lo + step], x[lo : lo + step]
+        c = len(hc)
+        np.conjugate(hc, out=rhs[:c, :, :two_m])
+        np.conjugate(xc[:, 0::2], out=rhs[:c, :, two_m])
+        rhs[:c, :, two_m + 1] = xc[:, 1::2]
+        p = np.matmul(hc.swapaxes(1, 2), rhs[:c], out=prod[:c])
+        t = np.take(p.reshape(c, -1), index, axis=1, mode="clip")
+        np.add(t[:, p1], t[:, q1], out=a1[:, lo : lo + c].T)
+        np.subtract(t[:, p2], t[:, q2], out=a2[:, lo : lo + c].T)
+        d = t[:, sq].real
+        np.add(d[:, 0::2], d[:, 1::2], out=diag[:, lo : lo + c].T)
+        fc = np.conjugate(t[:, f])
+        np.add(fc[:, 0::2], t[:, y][:, 1::2], out=z[0::2, lo : lo + c].T)
+        np.subtract(fc[:, 1::2], t[:, y][:, 0::2], out=z[1::2, lo : lo + c].T)
+    diag += alpha
+    for a in (diag, a1, a2, z):
+        a.flags.writeable = False
+    return StructuredHermitianBlockMatrix(m, tuple(diag), tuple(map(AlamoutiBlock, a1, a2))), tuple(z)
+
+
 class PreparedBlock:
-    """One checked block and the front ends its detectors share.
+    """The compressed front end of one checked block, and the front ends
+    its detectors share.
 
     Built from the physical channels `h` (B, N, 2M), the stacked samples
-    `x` (B, 2N) and `alpha`, which it checks once.  Each front end is
-    computed on first use and then kept for every later detector on the
-    same block: `compressed`, the recursion's compressed regularized Gram
-    and matched filter, built from one product per chunk of instances;
-    `workspace`, the recursion's starting state grown from them;
-    `cholesky`, the Gram's block factor U U^H, grown from the compressed
-    entries, which `solve` solves with for `linear_mmse`; `dense_inverse`,
-    the Gram's inverse from those solves, which the SIC references
-    downdate.  Every array is marked read-only: detectors share them, and
-    the recursion's swap copies an entry before it writes one.  A Gram
-    with a vanishing factor pivot raises `SingularPivot`.  After
-    `drop_gains` the block holds no gains or samples (`h` and `x` are
-    None) and every front end is built from the compressed entries alone.
+    `x` (B, 2N) and `alpha`, which it checks, and from which it builds
+    `compressed`, the recursion's compressed regularized Gram and matched
+    filter (`_compressed`).  It keeps no gains or samples: the other
+    front ends are built from `compressed` on first use and then kept for
+    every later detector on the same block: `workspace`, the recursion's
+    starting state; `cholesky`, the Gram's block factor U U^H, which
+    `solve` solves with for `linear_mmse`; `dense_inverse`, the Gram's
+    inverse from those solves, which the SIC references downdate.  Every
+    array is marked read-only: detectors share them, and the recursion's
+    swap copies an entry before it writes one.  A Gram with a vanishing
+    factor pivot raises `SingularPivot`.
     """
 
     def __init__(self, h, x, alpha):
         _check_input(h, x, alpha, 1)
-        self.h = h
-        self.x = x
         self.alpha = alpha
         # N, which the flop charge of `workspace` reads
         self.n_rx = h.shape[1]
-
-    def drop_gains(self) -> None:
-        """Build the compressed entries, then let go of the gains and
-        samples: no other front end reads them.  Detector calls on the
-        block then pass h = x = None."""
-        self._entries
-        self.h = self.x = None
-
-    @cached_property
-    def _entries(self) -> tuple:
-        """The compressed front end's entries, batch-last: the diagonal
-        scalars (M, B), the a1 and a2 parts of the upper blocks (each
-        (M(M - 1)/2, B), row-major) and the matched filter (2M, B).
-
-        Per instance, with a = h[:, 0::2], b = h[:, 1::2], x1 = x[0::2]
-        and x2 = x[1::2], one product P = h^T conj([h | x1 | conj(x2)])
-        holds every sum needed.  Block (i, j) of the Gram is Alamouti with
-        a1 = a_i^H a_j + conj(b_i^H b_j) = P[2j, 2i] + P[2i+1, 2j+1] and
-        a2 = b_i^H a_j - a_i^T conj(b_j) = P[2j, 2i+1] - P[2i, 2j+1]; its
-        diagonal scalar i is Re(P[2i, 2i]) + Re(P[2i+1, 2i+1]) + alpha;
-        and the matched filter's pair i is (a_i^H x1 + b_i^T x2,
-        b_i^H x1 - a_i^T x2) = (conj(P[2i, 2M]) + P[2i+1, 2M+1],
-        conj(P[2i+1, 2M]) - P[2i, 2M+1]).  The products are made a chunk
-        of instances at a time and each entry is stored batch-last, one
-        (B,) row.
-        """
-        h, x = self.h, self.x
-        b, n, two_m = h.shape
-        m = two_m // 2
-        step = _chunk_len(h)
-        index, (p1, q1, p2, q2, sq, f, y) = _product_index(m)
-        diag = np.empty((m, b))
-        a1 = np.empty((m * (m - 1) // 2, b), dtype=np.complex128)
-        a2 = np.empty_like(a1)
-        z = np.empty((two_m, b), dtype=np.complex128)
-        rhs = np.empty((min(step, b), n, two_m + 2), dtype=np.complex128)
-        prod = np.empty((min(step, b), two_m, two_m + 2), dtype=np.complex128)
-        for lo in range(0, b, step):
-            hc, xc = h[lo : lo + step], x[lo : lo + step]
-            c = len(hc)
-            np.conjugate(hc, out=rhs[:c, :, :two_m])
-            np.conjugate(xc[:, 0::2], out=rhs[:c, :, two_m])
-            rhs[:c, :, two_m + 1] = xc[:, 1::2]
-            p = np.matmul(hc.swapaxes(1, 2), rhs[:c], out=prod[:c])
-            t = np.take(p.reshape(c, -1), index, axis=1, mode="clip")
-            np.add(t[:, p1], t[:, q1], out=a1[:, lo : lo + c].T)
-            np.subtract(t[:, p2], t[:, q2], out=a2[:, lo : lo + c].T)
-            d = t[:, sq].real
-            np.add(d[:, 0::2], d[:, 1::2], out=diag[:, lo : lo + c].T)
-            fc = np.conjugate(t[:, f])
-            np.add(fc[:, 0::2], t[:, y][:, 1::2], out=z[0::2, lo : lo + c].T)
-            np.subtract(fc[:, 1::2], t[:, y][:, 0::2], out=z[1::2, lo : lo + c].T)
-        diag += self.alpha
-        for a in (diag, a1, a2, z):
-            a.flags.writeable = False
-        return diag, a1, a2, z
-
-    @cached_property
-    def compressed(self) -> tuple:
-        """The compressed regularized Gram (a `StructuredHermitianBlockMatrix`)
-        and the matched filter's 2M entries, each entry a (B,) array."""
-        diag, a1, a2, z = self._entries
-        return StructuredHermitianBlockMatrix(len(diag), tuple(diag), tuple(map(AlamoutiBlock, a1, a2))), tuple(z)
+        self.compressed = _compressed(h, x, alpha)
 
     @cached_property
     def workspace(self) -> detectors.DetectorWorkspace:
@@ -288,13 +269,13 @@ class PreparedBlock:
 
 
 def _prepare(h, x, alpha, prepared) -> PreparedBlock:
-    """`prepared` if it was built from this very block, else a new block.
-    A block that dropped its gains holds h = x = None, and so takes only
-    a call that passes None for both."""
+    """A new block of (h, x, alpha) if `prepared` is None, else `prepared`,
+    which holds no gains: a call that passes it passes h = x = None and
+    the block's alpha."""
     if prepared is None:
         return PreparedBlock(h, x, alpha)
-    if prepared.h is not h or prepared.x is not x or prepared.alpha != alpha:
-        raise ValueError("prepared block was built from a different (h, x, alpha)")
+    if h is not None or x is not None or prepared.alpha != alpha:
+        raise ValueError("a call with prepared= passes h = x = None and the prepared block's alpha")
     return prepared
 
 
@@ -317,7 +298,7 @@ def detect_fixed_order_batch(h, x, alpha, prepared=None) -> BatchDetection:
 def detect_linear_mmse_batch(h, x, alpha, prepared=None) -> BatchDetection:
     """Batched mirror of `detectors.detect_linear_mmse`."""
     block = _prepare(h, x, alpha, prepared)
-    z = block._entries[3]
+    z = block.compressed[1]
     pairs = block.solve(list(zip(z[0::2], z[1::2])))
     soft = np.ascontiguousarray(np.transpose([c for pair in pairs for c in pair]))
     ok = np.isfinite(soft).all(axis=1)
@@ -355,7 +336,7 @@ def _masked_sic(block, groupwise):
     minimum tying to the lowest index, as in the scalar reference.
     """
     q = block.dense_inverse
-    u = np.einsum("bik,kb->bi", q, block._entries[3])
+    u = np.einsum("bik,kb->bi", q, np.array(block.compressed[1]))
     b, two_m = u.shape
     rows = np.arange(b)
     # flat offset into a (B, 2M) array of instance b's entry 0

@@ -101,14 +101,14 @@ def generate_channel(n_rx: int, layers: int, seed: int) -> ChannelMatrix:
 def _check_shapes(g, x, alpha, lead: int) -> None:
     """Both routes' input checks but finiteness, over `lead` leading
     instance axes (0 for one instance, 1 for a block): gains (..., N, 2M),
-    N, M >= 1; samples (..., 2N) and a finite alpha > 0 (NaN fails),
-    each unless None."""
+    N, M >= 1; samples (..., 2N) and a real, finite alpha > 0 (NaN and
+    any complex type fail), each unless None."""
     if g.ndim != lead + 2 or g.shape[-1] % 2 or 0 in g.shape[lead:]:
         raise InvalidDimensions(f"channel gains must be {'B x ' * lead}N x 2M with N, M >= 1, got {g.shape}")
     if x is not None and x.shape != g.shape[:lead] + (2 * g.shape[lead],):
         raise InvalidDimensions(f"received samples must be {'B x ' * lead}2N, got {x.shape} for gains {g.shape}")
-    if alpha is not None and not 0 < alpha < np.inf:
-        raise NonPositiveAlpha(f"alpha must be > 0 and finite, got {alpha}")
+    if alpha is not None and (np.iscomplexobj(alpha) or not 0 < alpha < np.inf):
+        raise NonPositiveAlpha(f"alpha must be real, > 0 and finite, got {alpha}")
 
 
 def _check_finite(*arrays) -> None:

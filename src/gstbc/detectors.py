@@ -189,7 +189,7 @@ def init_gram(h, alpha: float) -> StructuredHermitianBlockMatrix:
         for x1, x2 in zip(cols[2 * i], cols[2 * i + 1]):
             t = (x1.real * x1.real + x1.imag * x1.imag) + (x2.real * x2.real + x2.imag * x2.imag)
             acc = t if acc is None else acc + t
-        diag.append(acc + alpha)
+        diag.append(acc + float(alpha))
     rows = []
     for i in range(m):
         ai, bi, aic, bic = cols[2 * i], cols[2 * i + 1], conj[2 * i], conj[2 * i + 1]

@@ -21,8 +21,8 @@ class InvalidDimensions(GstbcError, ValueError):
 
 
 class NonPositiveAlpha(GstbcError, ValueError):
-    """The MMSE regularizer alpha = sigma_n^2 / sigma_s^2 must be > 0 and
-    finite."""
+    """The MMSE regularizer alpha = sigma_n^2 / sigma_s^2 must be real,
+    > 0 and finite."""
 
 
 class OddBitCount(GstbcError, ValueError):

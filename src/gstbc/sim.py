@@ -20,13 +20,12 @@ each, and detected a slice at a time.  Each slice is wrapped once in a
 `batch.PreparedBlock`, so the detectors share its checks and front ends
 (the recursion's compressed entries and starting state, the Gram's
 block factor and its inverse) instead of each rebuilding them.  Every
-slice's compressed entries are built, and its gains and samples dropped,
-before any detector runs; the detectors then read each slice through its
-entries alone, and a slice's other front ends are dropped before the
-next slice.  Every detector treats each instance on its own, so the
-records do not depend on the slicing, and a sweep's memory is bounded by
-the larger of one draw and one block's compressed entries plus one
-slice's front ends.
+slice's block, which holds its compressed entries and no gains or
+samples, is built before any detector runs, and a slice's other front
+ends are dropped before the next slice.  Every detector treats each
+instance on its own, so the records do not depend on the slicing, and a
+sweep's memory is bounded by the larger of one draw and one block's
+compressed entries plus one slice's front ends.
 """
 
 from __future__ import annotations
@@ -199,17 +198,14 @@ def _tally_block(names, tally, h, bits, x, alpha, where):
     """Add each named detector's bit and frame errors on one drawn block,
     given as lists of slices of at most SLICE_SIZE instances, to `tally`.
 
-    Every slice's compressed entries are built first, and `h` and `x` are
-    emptied as that goes, so no gains are held through detection; each
-    slice is then detected from its entries alone and its front ends are
-    dropped before the next slice.  A `GstbcError` of a detector is raised
-    again, as the same type, with the detector, `where` (the point and
-    block) and the slice's instances.
+    Every slice's block is built first, and `h` and `x` are emptied as
+    that goes, so no gains are held through detection; each slice is then
+    detected from its block alone (`prepared=` with h = x = None) and its
+    front ends are dropped before the next slice.  A `GstbcError` of a
+    detector is raised again, as the same type, with the detector, `where`
+    (the point and block) and the slice's instances.
     """
-    blocks = []
-    while h:
-        blocks.append(PreparedBlock(h.pop(0), x.pop(0), alpha))
-        blocks[-1].drop_gains()
+    blocks = [PreparedBlock(h.pop(0), x.pop(0), alpha) for _ in range(len(h))]
     lo = 0
     for bs in bits:
         block = blocks.pop(0)

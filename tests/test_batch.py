@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -75,49 +77,71 @@ def test_batch_noiseless_recovery():
 def test_shared_prepared_block_matches_fresh_calls():
     # every detector reads the same prepared block in either order and
     # returns bytewise what a call that prepares its own block returns, so
-    # no detector may write the cached inverse or matched filter
+    # no detector may write the cached inverse or matched filter.  A block
+    # holds no gains, yet a detector's first call on it charges the front
+    # end with N, as a fresh call does
     rng = np.random.default_rng(55)
     h, _, x = random_batch(rng, 60, 3, 4, sigma_n2=0.3)
-    fresh = {name: fn(h, x, 0.15) for name, fn in BATCH_PAIRS.items()}
+    fresh = {}
+    for name, fn in BATCH_PAIRS.items():
+        with flop_scope(FlopCounter()) as counted:
+            fresh[name] = fn(h, x, 0.15)
+        block = PreparedBlock(h, x, 0.15)
+        with flop_scope(FlopCounter()) as prepared:
+            fn(None, None, 0.15, prepared=block)
+        assert prepared == counted, name
     for names in (list(BATCH_PAIRS), list(BATCH_PAIRS)[::-1]):
         block = PreparedBlock(h, x, 0.15)
         for name in names:
-            out = BATCH_PAIRS[name](h, x, 0.15, prepared=block)
+            out = BATCH_PAIRS[name](None, None, 0.15, prepared=block)
             assert out.decisions.tobytes() == fresh[name].decisions.tobytes(), name
             assert out.soft.tobytes() == fresh[name].soft.tobytes(), name
 
 
-def test_prepared_block_must_hold_the_call_block():
+def test_prepared_call_passes_no_gains_and_the_block_alpha():
+    # a call with prepared= passes h = x = None and the block's alpha; a
+    # call that passes the block's own gains or samples, or another
+    # alpha, is refused
     rng = np.random.default_rng(56)
     h, _, x = random_batch(rng, 4, 2, 2, 0.1)
     block = PreparedBlock(h, x, 0.1)
     for fn in BATCH_PAIRS.values():
-        with pytest.raises(ValueError, match="different"):
-            fn(h.copy(), x, 0.1, prepared=block)
-        with pytest.raises(ValueError, match="different"):
-            fn(h, x, 0.2, prepared=block)
+        for args in ((h, x, 0.1), (h, None, 0.1), (None, x, 0.1), (h.copy(), x, 0.1), (None, None, 0.2)):
+            with pytest.raises(ValueError, match="passes h = x = None and the prepared block's alpha"):
+                fn(*args, prepared=block)
 
 
-def test_block_without_gains_answers_from_its_entries():
-    # a block that dropped its gains takes only calls that pass none, and
-    # returns bytewise what a call on a full block returns; it still
-    # charges N for the front end
-    rng = np.random.default_rng(59)
-    h, _, x = random_batch(rng, 30, 3, 5, sigma_n2=0.2)
-    for name, fn in BATCH_PAIRS.items():
-        block = PreparedBlock(h, x, 0.2)
-        block.drop_gains()
-        assert block.h is None and block.x is None
-        for args in ((h, x), (h, None), (None, x)):
-            with pytest.raises(ValueError, match="different"):
-                fn(*args, 0.2, prepared=block)
-        with flop_scope(FlopCounter()) as dropped:
-            out = fn(None, None, 0.2, prepared=block)
-        with flop_scope(FlopCounter()) as full:
-            want = fn(h, x, 0.2, prepared=PreparedBlock(h, x, 0.2))
-        assert (dropped.real_mults, dropped.real_adds) == (full.real_mults, full.real_adds), name
-        assert out.decisions.tobytes() == want.decisions.tobytes(), name
-        assert out.soft.tobytes() == want.soft.tobytes(), name
+def test_prepared_block_holds_no_gains():
+    # a block keeps its compressed entries, not the gains or samples they
+    # came from
+    rng = np.random.default_rng(60)
+    h, _, x = random_batch(rng, 8, 3, 4, 0.1)
+    refs = weakref.ref(h), weakref.ref(x)
+    block = PreparedBlock(h, x, 0.1)
+    del h, x
+    assert [r() for r in refs] == [None, None]
+    assert BATCH_PAIRS["proposed"](None, None, 0.1, prepared=block).decisions.shape == (8, 6)
+
+
+@pytest.mark.parametrize("kind", [np.float32, np.float16, np.float64])
+def test_numpy_real_alpha_answers_as_its_float(kind):
+    # a NumPy real scalar alpha gives, on both routes, the decisions, soft
+    # values and flop counts of the Python float of the same value
+    rng = np.random.default_rng(62)
+    alpha = kind(0.1)
+    for layers, n_rx in ((2, 2), (4, 4)):
+        h, _, x = random_batch(rng, 3, layers, n_rx, 0.1)
+        for name in BATCH_PAIRS:
+            calls = [(BATCH_PAIRS[name], h, x)]
+            calls += [(SCALAR_DETECTORS[name], ChannelMatrix(h[b]), x[b]) for b in range(3)]
+            for fn, g, xv in calls:
+                with flop_scope(FlopCounter()) as got_flops:
+                    got = fn(g, xv, alpha)
+                with flop_scope(FlopCounter()) as want_flops:
+                    want = fn(g, xv, float(alpha))
+                assert got.decisions.tobytes() == want.decisions.tobytes(), (name, kind)
+                assert got.soft.tobytes() == want.soft.tobytes(), (name, kind)
+                assert got_flops == want_flops, (name, kind)
 
 
 def test_batch_rejects_bad_alpha():
@@ -164,7 +188,7 @@ def test_linear_mmse_builds_no_dense_front_end():
     rng = np.random.default_rng(61)
     h, _, x = random_batch(rng, 5, 3, 4, 0.1)
     block = PreparedBlock(h, x, 0.1)
-    batch.detect_linear_mmse_batch(h, x, 0.1, prepared=block)
+    batch.detect_linear_mmse_batch(None, None, 0.1, prepared=block)
     assert "cholesky" in vars(block)
     assert "dense_inverse" not in vars(block)
 
@@ -211,7 +235,7 @@ def test_every_entry_point_rejects_malformed_input():
         (_poisoned(h, (2, 1, 3), np.inf), x, 0.1, InvalidDimensions),
         (h, _poisoned(x, (2, 1), complex("nan")), 0.1, InvalidDimensions),
         (h, _poisoned(x, (2, 3), -np.inf), 0.1, InvalidDimensions),
-    ] + [(h, x, alpha, NonPositiveAlpha) for alpha in (0.0, -1.0, np.nan, np.inf)]
+    ] + [(h, x, alpha, NonPositiveAlpha) for alpha in (0.0, -1.0, np.nan, np.inf, 0.1 + 0.5j, np.complex128(0.1 + 0.5j))]
     for name in BATCH_PAIRS:
         # each route refuses the other's number of leading axes
         with pytest.raises(InvalidDimensions):
@@ -383,8 +407,9 @@ def test_every_front_end_is_read_only(layers, n_rx):
     rng = np.random.default_rng(61)
     h, _, x = random_batch(rng, 5, layers, n_rx, 0.1)
     block = PreparedBlock(h, x, 0.1)
-    inv_diag, cols = block.cholesky
-    arrays = [*block._entries, *_workspace_arrays(block.workspace), *inv_diag, *(a for col in cols for u in col for a in u)]
+    (rbar, z), (inv_diag, cols) = block.compressed, block.cholesky
+    arrays = [*rbar.diag, *(a for u in rbar.upper for a in u), *z, *_workspace_arrays(block.workspace)]
+    arrays += [*inv_diag, *(a for col in cols for u in col for a in u)]
     arrays.append(block.dense_inverse)
     assert not any(a.flags.writeable for a in arrays)
 

@@ -218,7 +218,7 @@ def test_stage_functions_check_their_input():
     for samples in (xv[:3], xv[None], _poisoned(xv, 1, np.nan)):
         with pytest.raises(InvalidDimensions, match="2N|finite"):
             matched_filter(h, samples)
-    for alpha in (0.0, -1.0, np.nan, np.inf):
+    for alpha in (0.0, -1.0, np.nan, np.inf, np.complex128(0.1 + 0.5j)):
         with pytest.raises(NonPositiveAlpha):
             init_gram(h, alpha)
     # 1-D gains of length 4 are not read as N = 4

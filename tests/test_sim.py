@@ -146,7 +146,7 @@ def test_detector_failure_names_detector_point_block_and_slice(monkeypatch):
     def fails_on_third_slice(h, x, alpha, prepared=None):
         # the sweep's blocks hold no gains, so the slice size is read from
         # the compressed entries
-        calls.append(prepared._entries[0].shape[1])
+        calls.append(len(prepared.compressed[0].diag[0]))
         if len(calls) == 3:
             raise SingularPivot("pivot vanishes")
         return real(h, x, alpha, prepared=prepared)
