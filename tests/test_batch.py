@@ -77,19 +77,10 @@ def test_batch_noiseless_recovery():
 def test_shared_prepared_block_matches_fresh_calls():
     # every detector reads the same prepared block in either order and
     # returns bytewise what a call that prepares its own block returns, so
-    # no detector may write the cached inverse or matched filter.  A block
-    # holds no gains, yet a detector's first call on it charges the front
-    # end with N, as a fresh call does
+    # no detector may write the cached inverse or matched filter
     rng = np.random.default_rng(55)
     h, _, x = random_batch(rng, 60, 3, 4, sigma_n2=0.3)
-    fresh = {}
-    for name, fn in BATCH_PAIRS.items():
-        with flop_scope(FlopCounter()) as counted:
-            fresh[name] = fn(h, x, 0.15)
-        block = PreparedBlock(h, x, 0.15)
-        with flop_scope(FlopCounter()) as prepared:
-            fn(None, None, 0.15, prepared=block)
-        assert prepared == counted, name
+    fresh = {name: fn(h, x, 0.15) for name, fn in BATCH_PAIRS.items()}
     for names in (list(BATCH_PAIRS), list(BATCH_PAIRS)[::-1]):
         block = PreparedBlock(h, x, 0.15)
         for name in names:
@@ -109,6 +100,24 @@ def test_prepared_call_passes_no_gains_and_the_block_alpha():
         for args in ((h, x, 0.1), (h, None, 0.1), (None, x, 0.1), (h.copy(), x, 0.1), (None, None, 0.2)):
             with pytest.raises(ValueError, match="passes h = x = None and the prepared block's alpha"):
                 fn(*args, prepared=block)
+
+
+def test_block_without_gains_answers_from_its_entries():
+    # a block holds no gains, so each detector answers from its compressed
+    # entries bytewise what a fresh call returns, and its first call on the
+    # block still charges N for the front end, as a fresh call does
+    rng = np.random.default_rng(59)
+    h, _, x = random_batch(rng, 30, 3, 5, sigma_n2=0.2)
+    for name, fn in BATCH_PAIRS.items():
+        block = PreparedBlock(h, x, 0.2)
+        assert not hasattr(block, "h") and not hasattr(block, "x")
+        with flop_scope(FlopCounter()) as prepared:
+            out = fn(None, None, 0.2, prepared=block)
+        with flop_scope(FlopCounter()) as fresh:
+            want = fn(h, x, 0.2)
+        assert prepared == fresh, name
+        assert out.decisions.tobytes() == want.decisions.tobytes(), name
+        assert out.soft.tobytes() == want.soft.tobytes(), name
 
 
 def test_prepared_block_holds_no_gains():
