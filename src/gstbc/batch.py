@@ -3,7 +3,7 @@
 All engines take the physical channel `h` of shape (B, N, 2M) and the
 stacked received block `x` of shape (B, 2N), check them as the scalar
 detectors do (`channel._check_input`), and return (B, 2M) decisions
-and soft values.
+and soft values.  `DETECTORS`, which `gstbc.sim` re-exports, names them.
 
 Every engine reads its block through a `PreparedBlock`, which checks the
 block and builds the recursion's compressed Gram and matched filter
@@ -387,3 +387,12 @@ def detect_osic_symbolwise_batch(h, x, alpha, prepared=None) -> BatchDetection:
 def detect_sic_groupwise_batch(h, x, alpha, prepared=None) -> BatchDetection:
     """Batched mirror of `detectors.detect_sic_groupwise_symbolwise`."""
     return _masked_sic(_prepare(h, x, alpha, prepared), True)
+
+
+DETECTORS = {
+    "proposed": detect_gstbc_batch,
+    "fixed_order": detect_fixed_order_batch,
+    "linear_mmse": detect_linear_mmse_batch,
+    "osic_symbolwise": detect_osic_symbolwise_batch,
+    "sic_groupwise": detect_sic_groupwise_batch,
+}

@@ -101,14 +101,18 @@ def generate_channel(n_rx: int, layers: int, seed: int) -> ChannelMatrix:
 def _check_shapes(g, x, alpha, lead: int) -> None:
     """Both routes' input checks but finiteness, over `lead` leading
     instance axes (0 for one instance, 1 for a block): gains (..., N, 2M),
-    N, M >= 1; samples (..., 2N) and a real, finite alpha > 0 (NaN and
-    any complex type fail), each unless None."""
+    N, M >= 1; samples (..., 2N); alpha, finite and > 0, a Python int or
+    float, a NumPy real scalar or a 0-d real array (a bool fails); each
+    unless None."""
     if g.ndim != lead + 2 or g.shape[-1] % 2 or 0 in g.shape[lead:]:
         raise InvalidDimensions(f"channel gains must be {'B x ' * lead}N x 2M with N, M >= 1, got {g.shape}")
     if x is not None and x.shape != g.shape[:lead] + (2 * g.shape[lead],):
         raise InvalidDimensions(f"received samples must be {'B x ' * lead}2N, got {x.shape} for gains {g.shape}")
-    if alpha is not None and (np.iscomplexobj(alpha) or not 0 < alpha < np.inf):
-        raise NonPositiveAlpha(f"alpha must be real, > 0 and finite, got {alpha}")
+    # a Python float or int passes on its type alone
+    real = type(alpha) in (float, int) or (
+        isinstance(alpha, (np.generic, np.ndarray)) and alpha.ndim == 0 and alpha.dtype.kind in "iuf")
+    if alpha is not None and not (real and 0 < alpha < np.inf):
+        raise NonPositiveAlpha(f"alpha must be real, > 0 and finite, got {alpha!r}")
 
 
 def _check_finite(*arrays) -> None:
@@ -125,18 +129,14 @@ def _check_input(g, x, alpha, lead: int) -> None:
     _check_finite(g, x)
 
 
-def _equivalent_rows(h, out):
-    # antenna n of h (..., N, 2M) gives rows 2n and 2n + 1 of out (..., 2N, 2M)
+def equivalent_channel_batch(h: np.ndarray) -> np.ndarray:
+    """(..., N, 2M) physical gains to (..., 2N, 2M) equivalent channels:
+    antenna n gives rows 2n and 2n + 1."""
+    out = np.empty(h.shape[:-2] + (2 * h.shape[-2], h.shape[-1]), dtype=np.complex128)
     out[..., 0::2, :] = h
     out[..., 1::2, 0::2] = np.conj(h[..., 1::2])
     out[..., 1::2, 1::2] = -np.conj(h[..., 0::2])
     return out
-
-
-def equivalent_channel_batch(h: np.ndarray) -> np.ndarray:
-    """(..., N, 2M) physical gains to (..., 2N, 2M) equivalent channels."""
-    out = np.empty(h.shape[:-2] + (2 * h.shape[-2], h.shape[-1]), dtype=np.complex128)
-    return _equivalent_rows(h, out)
 
 
 def second_slot(s: np.ndarray) -> np.ndarray:

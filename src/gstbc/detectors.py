@@ -489,8 +489,9 @@ def _recurse(ws: DetectorWorkspace, slicer, ordered, record_trace):
 
 def _detect_recursive(h, x, alpha, ordered, record_trace):
     """The group-wise recursion on one instance, both halves counted in one
-    scope; `matched_filter` checks finiteness after the caller's
-    `_check_shapes`, in `channel._check_input`'s order."""
+    scope; `matched_filter` checks finiteness after `_check_shapes`, in
+    `channel._check_input`'s order."""
+    _check_shapes(np.asarray(h.gains), _as_array(x), alpha, 0)
     local = FlopCounter()
     with flop_scope(local):
         decisions, soft, order, trace = _recurse(_start_workspace(h, x, alpha), qpsk_slice, ordered, record_trace)
@@ -506,14 +507,12 @@ def detect_gstbc(h, x, alpha: float, record_trace: bool = False) -> DetectionRes
     keeps a per-depth snapshot of the workspace and soft pair for
     verification.
     """
-    _check_shapes(np.asarray(h.gains), _as_array(x), alpha, 0)
     return _detect_recursive(h, x, alpha, True, record_trace)
 
 
 def detect_fixed_order(h, x, alpha: float, record_trace: bool = False) -> DetectionResult:
     """Same recursion as `detect_gstbc` with ordering disabled (last block
     first, every step).  Isolates the gain of the ordering rule."""
-    _check_shapes(np.asarray(h.gains), _as_array(x), alpha, 0)
     return _detect_recursive(h, x, alpha, False, record_trace)
 
 

@@ -25,9 +25,11 @@ computes.
 from __future__ import annotations
 
 import threading
+from dataclasses import dataclass
 from operator import mul
 
 
+@dataclass(slots=True)
 class FlopCounter:
     """Running tally of real multiplications and additions.
 
@@ -35,23 +37,12 @@ class FlopCounter:
     cheap; detectors allocate one per call and return it with the result.
     """
 
-    __slots__ = ("real_mults", "real_adds")
-
-    def __init__(self, real_mults: int = 0, real_adds: int = 0):
-        self.real_mults = real_mults
-        self.real_adds = real_adds
+    real_mults: int = 0
+    real_adds: int = 0
 
     @property
     def total(self) -> int:
         return self.real_mults + self.real_adds
-
-    def __eq__(self, other):
-        if not isinstance(other, FlopCounter):
-            return NotImplemented
-        return (self.real_mults, self.real_adds) == (other.real_mults, other.real_adds)
-
-    def __repr__(self):
-        return f"FlopCounter(real_mults={self.real_mults}, real_adds={self.real_adds})"
 
 
 class _Scope(threading.local):

@@ -37,14 +37,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .batch import (
-    PreparedBlock,
-    detect_fixed_order_batch,
-    detect_gstbc_batch,
-    detect_linear_mmse_batch,
-    detect_osic_symbolwise_batch,
-    detect_sic_groupwise_batch,
-)
+from .batch import DETECTORS, PreparedBlock
 from .channel import keyed_generator, receive
 from .errors import ConfigInvalid, GstbcError, ParseError
 from .modulation import qpsk_demap, qpsk_modulate
@@ -57,14 +50,6 @@ BLOCK_SIZE = 25_000
 SLICE_SIZE = 4_096
 # normals per fill of the draw's float buffer: 128 KiB, which stays in cache
 _DRAW_CHUNK = 16_384
-
-DETECTORS = {
-    "proposed": detect_gstbc_batch,
-    "fixed_order": detect_fixed_order_batch,
-    "linear_mmse": detect_linear_mmse_batch,
-    "osic_symbolwise": detect_osic_symbolwise_batch,
-    "sic_groupwise": detect_sic_groupwise_batch,
-}
 
 _SCALE = 1.0 / math.sqrt(2.0)
 
@@ -272,19 +257,13 @@ def run_ber_sweep(config: SimConfig, progress=None) -> list:
 _CSV_COLUMNS = "detector,snr_db,bits,bit_errors,ber,frames,frame_errors"
 
 
-def format_csv(records, config: SimConfig | None = None) -> str:
-    lines = []
-    if config is not None:
-        lines.append(
-            f"# ber sweep: layers={config.layers} n_rx={config.n_rx} "
-            f"trials={config.trials}"
-        )
-    seed_note = "" if config is None else f"; seed={config.seed}"
-    lines.append(
+def format_csv(records, config: SimConfig) -> str:
+    lines = [
+        f"# ber sweep: layers={config.layers} n_rx={config.n_rx} trials={config.trials}",
         "# snr_db is Eb/N0: sigma_n2 = sigma_s2 / (2 * 10^(snr_db/10)), "
-        f"two bits per symbol{seed_note}"
-    )
-    lines.append(_CSV_COLUMNS)
+        f"two bits per symbol; seed={config.seed}",
+        _CSV_COLUMNS,
+    ]
     for r in records:
         lines.append(
             f"{r.detector},{r.snr_db:.10g},{r.bits},{r.bit_errors},"
@@ -293,7 +272,7 @@ def format_csv(records, config: SimConfig | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_csv(records, path, config: SimConfig | None = None) -> None:
+def emit_csv(records, path, config: SimConfig) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(format_csv(records, config))
 

@@ -132,10 +132,11 @@ def test_prepared_block_holds_no_gains():
     assert BATCH_PAIRS["proposed"](None, None, 0.1, prepared=block).decisions.shape == (8, 6)
 
 
-@pytest.mark.parametrize("kind", [np.float32, np.float16, np.float64])
+@pytest.mark.parametrize("kind", [np.float32, np.float16, np.float64, np.array])
 def test_numpy_real_alpha_answers_as_its_float(kind):
-    # a NumPy real scalar alpha gives, on both routes, the decisions, soft
-    # values and flop counts of the Python float of the same value
+    # a NumPy real scalar or 0-d array alpha gives, on both routes, the
+    # decisions, soft values and flop counts of the Python float of the
+    # same value
     rng = np.random.default_rng(62)
     alpha = kind(0.1)
     for layers, n_rx in ((2, 2), (4, 4)):
@@ -244,7 +245,8 @@ def test_every_entry_point_rejects_malformed_input():
         (_poisoned(h, (2, 1, 3), np.inf), x, 0.1, InvalidDimensions),
         (h, _poisoned(x, (2, 1), complex("nan")), 0.1, InvalidDimensions),
         (h, _poisoned(x, (2, 3), -np.inf), 0.1, InvalidDimensions),
-    ] + [(h, x, alpha, NonPositiveAlpha) for alpha in (0.0, -1.0, np.nan, np.inf, 0.1 + 0.5j, np.complex128(0.1 + 0.5j))]
+    ] + [(h, x, alpha, NonPositiveAlpha) for alpha in (0.0, -1.0, np.nan, np.inf, 0.1 + 0.5j, np.complex128(0.1 + 0.5j),
+                                                      True, np.True_, np.array([0.1]), np.array([0.1, 0.2]), "0.1")]
     for name in BATCH_PAIRS:
         # each route refuses the other's number of leading axes
         with pytest.raises(InvalidDimensions):

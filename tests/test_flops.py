@@ -125,3 +125,15 @@ def test_scopes_are_thread_local():
 def test_flop_counter_repr_roundtrip():
     c = FlopCounter(real_mults=7, real_adds=9)
     assert "7" in repr(c) and "9" in repr(c)
+
+
+def test_counter_repr_equality_and_hash():
+    # the repr the README quickstart prints; equal counts compare equal,
+    # nothing else does, and a mutable counter has no hash
+    c = FlopCounter(real_mults=1, real_adds=2)
+    assert repr(c) == "FlopCounter(real_mults=1, real_adds=2)"
+    assert c == FlopCounter(1, 2) and c != FlopCounter(1, 3)
+    assert c != (1, 2)
+    with pytest.raises(TypeError):
+        hash(c)
+    assert not hasattr(c, "__dict__")

@@ -7,6 +7,7 @@ import pytest
 import gstbc.batch as batch
 import gstbc.sim as sim
 from gstbc.channel import keyed_generator, receive
+from gstbc.detectors import SCALAR_DETECTORS
 from gstbc.errors import ConfigInvalid, ParseError, SingularPivot
 from gstbc.modulation import qpsk_modulate
 from gstbc.sim import (
@@ -20,6 +21,12 @@ from gstbc.sim import (
     sigma_n2_for_snr,
     snr_at_ber,
 )
+
+
+def test_the_sweep_runs_the_batch_table_of_the_scalar_detectors():
+    # one table of batch engines, in `batch`; every name has a scalar twin
+    assert sim.DETECTORS is batch.DETECTORS
+    assert batch.DETECTORS.keys() == SCALAR_DETECTORS.keys()
 
 
 def test_config_validation():
@@ -254,13 +261,13 @@ def test_csv_roundtrip(tmp_path):
 
 def test_csv_roundtrip_empty(tmp_path):
     path = tmp_path / "empty.csv"
-    emit_csv([], path)
+    emit_csv([], path, SimConfig(layers=2, n_rx=2))
     assert parse_csv(path) == []
 
 
 def test_parse_csv_names_the_line_of_a_malformed_row(tmp_path):
     path = tmp_path / "bad.csv"
-    emit_csv([BerRecord("proposed", 0.0, 8, 1, 0.125, 2, 1)], path)
+    emit_csv([BerRecord("proposed", 0.0, 8, 1, 0.125, 2, 1)], path, SimConfig(layers=2, n_rx=2))
     good = path.read_text()
     for row, what in (("proposed,2.0,8,1\n", "expected 7 fields"), ("proposed,2.0,8,x,0.125,2,1\n", "bad number")):
         path.write_text(good + row)
@@ -327,3 +334,18 @@ def test_detector_dominance_on_shared_randomness():
     # the dense group-wise reference is the same detection rule bit for bit
     assert recs["sic_groupwise"].bit_errors == prop.bit_errors
     assert recs["sic_groupwise"].frame_errors == prop.frame_errors
+
+
+@pytest.mark.parametrize("layers, trials, snr_db", [(8, 2_000, (0.0,)), (16, 500, (-6.0, 0.0))])
+def test_sic_groupwise_makes_proposed_errors_at_large_sizes(layers, trials, snr_db):
+    # the dense group-wise reference is the same detection rule bit for bit
+    # at (8, 8) and (16, 16) as well, on the sweeps of CI's console runs (a
+    # record does not depend on which other detectors run)
+    cfg = SimConfig(layers=layers, n_rx=layers, snr_db=snr_db, trials=trials, seed=0,
+                    detectors=("proposed", "sic_groupwise"))
+    recs = run_ber_sweep(cfg)
+    assert any(r.bit_errors for r in recs)
+    for snr in snr_db:
+        prop, ref = ((r.bit_errors, r.frame_errors) for d in cfg.detectors
+                     for r in recs if r.detector == d and r.snr_db == snr)
+        assert prop == ref, snr
