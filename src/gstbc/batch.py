@@ -274,7 +274,8 @@ def _prepare(h, x, alpha, prepared) -> PreparedBlock:
     the block's alpha."""
     if prepared is None:
         return PreparedBlock(h, x, alpha)
-    if h is not None or x is not None or prepared.alpha != alpha:
+    # only a 0-d alpha is compared: an array's answer would be an array
+    if h is not None or x is not None or np.ndim(alpha) or prepared.alpha != alpha:
         raise ValueError("a call with prepared= passes h = x = None and the prepared block's alpha")
     return prepared
 
@@ -301,8 +302,9 @@ def detect_linear_mmse_batch(h, x, alpha, prepared=None) -> BatchDetection:
     z = block.compressed[1]
     pairs = block.solve(list(zip(z[0::2], z[1::2])))
     soft = np.ascontiguousarray(np.transpose([c for pair in pairs for c in pair]))
-    ok = np.isfinite(soft).all(axis=1)
-    if not ok.all():
+    # the failing instances are found only when there are some
+    if not np.isfinite(soft).all():
+        ok = np.isfinite(soft).all(axis=1)
         detectors._block_guard(ok, "linear MMSE estimate is not finite", np.abs(soft).max(axis=1), np.max)
     return BatchDetection(qpsk_slice_array(soft), soft)
 
@@ -354,9 +356,13 @@ def _masked_sic(block, groupwise):
         elif groupwise:
             j = 2 * np.argmin(diag[:, 1::2], axis=1) + 1
         else:
-            # a minimum over the short symbol axis, as one (B,) op per column
-            near = reduce(np.minimum, diag.T)[:, None] * (1.0 + TIE_REL_TOL)
-            j = np.argmax(diag <= near, axis=1)
+            # a minimum over the short symbol axis, as one (B,) op per
+            # column; then the first column within the tie, else 0 (the
+            # answer of an argmax), as one (B,) op per column, last first
+            near = reduce(np.minimum, diag.T) * (1.0 + TIE_REL_TOL)
+            j = 0
+            for c in reversed(range(two_m)):
+                j = np.where(diag[:, c] <= near, c, j)
         at_j = row_0 + j
         y = u.reshape(-1)[at_j]
         d = qpsk_slice_array(y)

@@ -29,6 +29,7 @@ identical keys reproduce identical draws regardless of call order.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,8 +109,9 @@ def _check_shapes(g, x, alpha, lead: int) -> None:
         raise InvalidDimensions(f"channel gains must be {'B x ' * lead}N x 2M with N, M >= 1, got {g.shape}")
     if x is not None and x.shape != g.shape[:lead] + (2 * g.shape[lead],):
         raise InvalidDimensions(f"received samples must be {'B x ' * lead}2N, got {x.shape} for gains {g.shape}")
-    # a Python float or int passes on its type alone
-    real = type(alpha) in (float, int) or (
+    # a Python float passes on its type alone, and an int that a float holds
+    # (10**400 compares below inf but has no float value)
+    real = type(alpha) is float or (type(alpha) is int and alpha <= sys.float_info.max) or (
         isinstance(alpha, (np.generic, np.ndarray)) and alpha.ndim == 0 and alpha.dtype.kind in "iuf")
     if alpha is not None and not (real and 0 < alpha < np.inf):
         raise NonPositiveAlpha(f"alpha must be real, > 0 and finite, got {alpha!r}")

@@ -431,17 +431,21 @@ def cancel_layer(ws: DetectorWorkspace, s1: complex, s2: complex) -> DetectorWor
 
 def _scatter(steps, n_sym):
     """Decisions and soft values by original symbol position, from
-    (layer, y1, y2, s1, s2) per depth; a block's layer may vary by instance."""
+    (layer, y1, y2, s1, s2) per depth.  A layer that is a number fills
+    one column pair, two rows of the transposes; a block's layer that
+    varies by instance, a (B,) array, fills each instance's pair at its
+    flat positions in the C-ordered (B, n_sym) outputs."""
     y = steps[0][1]
-    rows = (np.arange(y.shape[0]),) if isinstance(y, np.ndarray) else ()
-    shape = tuple(r.size for r in rows) + (n_sym,)
+    shape = (y.shape[0], n_sym) if isinstance(y, np.ndarray) else (n_sym,)
     decisions = np.empty(shape, dtype=np.complex128)
     soft = np.empty(shape, dtype=np.complex128)
     for layer, y1, y2, s1, s2 in steps:
-        decisions[rows + (2 * layer,)] = s1
-        decisions[rows + (2 * layer + 1,)] = s2
-        soft[rows + (2 * layer,)] = y1
-        soft[rows + (2 * layer + 1,)] = y2
+        if isinstance(layer, np.ndarray):
+            d, s = decisions.reshape(-1), soft.reshape(-1)
+            k = np.arange(0, decisions.size, n_sym) + 2 * layer
+        else:
+            d, s, k = decisions.T, soft.T, 2 * layer
+        d[k], d[k + 1], s[k], s[k + 1] = s1, s2, y1, y2
     return decisions, soft
 
 

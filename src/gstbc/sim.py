@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import ClassVar
 
 import numpy as np
@@ -175,8 +176,17 @@ def _fill_normals(rng, arrays, scale, buf):
 
 
 def _bit_errors(decisions, bits):
-    wrong = qpsk_demap(decisions) != bits
-    return int(wrong.sum()), int(np.any(wrong, axis=1).sum())
+    """Bit and frame errors of (B, 2M) decisions against (B, 4M) bits.
+
+    The demap's flags and the bits are both int8 0/1, so their XOR flags
+    each wrong bit in one byte.  A layer's 4 bytes read as one `uint32`
+    word, and a frame is wrong if any of its M words is nonzero: an OR
+    over the words' (B,) columns, as one op per column, not a reduction
+    over the short axis.
+    """
+    wrong = np.bitwise_xor(qpsk_demap(decisions), bits, dtype=np.int8)
+    words = wrong.view(np.uint32)
+    return np.count_nonzero(wrong), np.count_nonzero(reduce(np.bitwise_or, words.T))
 
 
 def _tally_block(names, tally, h, bits, x, alpha, where):

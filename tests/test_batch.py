@@ -92,12 +92,14 @@ def test_shared_prepared_block_matches_fresh_calls():
 def test_prepared_call_passes_no_gains_and_the_block_alpha():
     # a call with prepared= passes h = x = None and the block's alpha; a
     # call that passes the block's own gains or samples, or another
-    # alpha, is refused
+    # alpha, is refused; an array alpha is refused by the rule too, not by
+    # numpy's ambiguous truth value
     rng = np.random.default_rng(56)
     h, _, x = random_batch(rng, 4, 2, 2, 0.1)
     block = PreparedBlock(h, x, 0.1)
     for fn in BATCH_PAIRS.values():
-        for args in ((h, x, 0.1), (h, None, 0.1), (None, x, 0.1), (h.copy(), x, 0.1), (None, None, 0.2)):
+        for args in ((h, x, 0.1), (h, None, 0.1), (None, x, 0.1), (h.copy(), x, 0.1), (None, None, 0.2),
+                     (None, None, np.array([0.1])), (None, None, np.array([0.1, 0.2]))):
             with pytest.raises(ValueError, match="passes h = x = None and the prepared block's alpha"):
                 fn(*args, prepared=block)
 
@@ -246,7 +248,8 @@ def test_every_entry_point_rejects_malformed_input():
         (h, _poisoned(x, (2, 1), complex("nan")), 0.1, InvalidDimensions),
         (h, _poisoned(x, (2, 3), -np.inf), 0.1, InvalidDimensions),
     ] + [(h, x, alpha, NonPositiveAlpha) for alpha in (0.0, -1.0, np.nan, np.inf, 0.1 + 0.5j, np.complex128(0.1 + 0.5j),
-                                                      True, np.True_, np.array([0.1]), np.array([0.1, 0.2]), "0.1")]
+                                                      True, np.True_, np.array([0.1]), np.array([0.1, 0.2]), "0.1",
+                                                      10**400)]
     for name in BATCH_PAIRS:
         # each route refuses the other's number of leading axes
         with pytest.raises(InvalidDimensions):

@@ -6,6 +6,7 @@ from gstbc.channel import ChannelMatrix, NoiseSpec, equivalent_channel_batch, ge
 from gstbc.detectors import (
     SCALAR_DETECTORS,
     DetectorWorkspace,
+    _scatter,
     cancel_layer,
     deflate_covariance,
     detect_fixed_order,
@@ -19,7 +20,7 @@ from gstbc.detectors import (
     permute_workspace,
 )
 from gstbc.errors import InvalidDimensions, NonPositiveAlpha
-from gstbc.modulation import qpsk_modulate
+from gstbc.modulation import qpsk_modulate, qpsk_slice_array
 
 
 def random_instance(rng, layers, n_rx, sigma_n2=0.1):
@@ -219,7 +220,7 @@ def test_stage_functions_check_their_input():
         with pytest.raises(InvalidDimensions, match="2N|finite"):
             matched_filter(h, samples)
     for alpha in (0.0, -1.0, np.nan, np.inf, np.complex128(0.1 + 0.5j),
-                  True, np.True_, np.array([0.1]), np.array([0.1, 0.2]), "0.1"):
+                  True, np.True_, np.array([0.1]), np.array([0.1, 0.2]), "0.1", 10**400):
         with pytest.raises(NonPositiveAlpha):
             init_gram(h, alpha)
     # 1-D gains of length 4 are not read as N = 4
@@ -244,3 +245,38 @@ def test_ordering_is_free():
     a = detect_gstbc(h, x, alpha=0.1)
     b = detect_fixed_order(h, x, alpha=0.1)
     assert (a.flops.real_mults, a.flops.real_adds) == (b.flops.real_mults, b.flops.real_adds)
+
+
+def _scatter_by_instance(steps, n_sym):
+    """`_scatter` one instance and one depth at a time: the oracle."""
+    b = len(steps[0][1])
+    decisions = np.zeros((b, n_sym), dtype=np.complex128)
+    soft = np.zeros((b, n_sym), dtype=np.complex128)
+    for layer, y1, y2, s1, s2 in steps:
+        for i, k in enumerate(np.broadcast_to(layer, (b,))):
+            decisions[i, 2 * k], decisions[i, 2 * k + 1] = s1[i], s2[i]
+            soft[i, 2 * k], soft[i, 2 * k + 1] = y1[i], y2[i]
+    return decisions, soft
+
+
+@pytest.mark.parametrize("per_instance", [False, True])
+def test_scatter_places_each_pair_at_its_layer(per_instance):
+    # a layer that is a number (fixed_order, the scalar route) fills two
+    # columns; a (B,) layer (proposed) fills each instance's own positions,
+    # and a block may mix the two forms: its first depth needs no swap
+    rng = np.random.default_rng(66)
+    m, b = 4, 37
+    orders = [[m - 1] + list(rng.permutation(m - 1)) for _ in range(b if per_instance else 1)]
+    layers = np.broadcast_to(np.array(orders).T, (m, b))
+    steps = []
+    for depth in range(m):
+        y1, y2 = (rng.standard_normal(b) + 1j * rng.standard_normal(b) for _ in range(2))
+        layer = int(layers[depth, 0]) if depth == 0 or not per_instance else layers[depth].copy()
+        steps.append((layer, y1, y2, qpsk_slice_array(y1), qpsk_slice_array(y2)))
+    want = _scatter_by_instance(steps, 2 * m)
+    got = _scatter(steps, 2 * m)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    # one instance, Python numbers throughout
+    first = [(int(layers[d, 0]), *(complex(v[0]) for v in step[1:])) for d, step in enumerate(steps)]
+    got = _scatter(first, 2 * m)
+    assert [a.tobytes() for a in got] == [a[0].tobytes() for a in want]

@@ -82,3 +82,32 @@ def test_slice_array_matches_scalar():
     assert arr.dtype == np.complex128
     for k in range(64):
         assert arr[k:k + 1].tobytes() == np.complex128(qpsk_slice(complex(y[k]))).tobytes()
+
+
+EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -1.5]
+
+
+@pytest.mark.parametrize("shape", [(64,), (16, 8)])
+def test_slice_array_matches_scalar_on_edge_values(shape):
+    # the table slicer keeps the scalar rule: >= 0 maps to +, so -0.0
+    # maps to + and NaN to -, on either axis, over any shape and layout
+    rng = np.random.default_rng(68)
+    y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    y.reshape(-1)[: len(EDGES) ** 2] = [complex(re, im) for re in EDGES for im in EDGES]
+    for v in (y, y[..., ::2]):
+        got = qpsk_slice_array(v)
+        want = np.array([qpsk_slice(complex(c)) for c in v.reshape(-1)]).reshape(v.shape)
+        assert got.dtype == np.complex128 and got.shape == v.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_demap_is_the_sign_rule_in_int8():
+    # bit 2k is Re(s_k) < 0 and bit 2k + 1 is Im(s_k) < 0, in the int8 of
+    # the drawn bits; a strided input answers as its copy
+    y = np.array([[complex(re, im) for im in EDGES] for re in EDGES])
+    bits = qpsk_demap(y)
+    assert bits.dtype == np.int8 and bits.shape == (7, 14)
+    assert np.array_equal(bits[:, 0::2], y.real < 0) and np.array_equal(bits[:, 1::2], y.imag < 0)
+    assert qpsk_demap(y[:, ::2]).tobytes() == qpsk_demap(y[:, ::2].copy()).tobytes()
+    drawn = np.random.default_rng(69).integers(0, 2, size=(5, 12)).astype(np.int8)
+    assert qpsk_demap(qpsk_modulate(drawn)).tobytes() == drawn.tobytes()

@@ -349,3 +349,23 @@ def test_sic_groupwise_makes_proposed_errors_at_large_sizes(layers, trials, snr_
         prop, ref = ((r.bit_errors, r.frame_errors) for d in cfg.detectors
                      for r in recs if r.detector == d and r.snr_db == snr)
         assert prop == ref, snr
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3, 8])
+def test_bit_errors_count_as_a_plain_demap_and_compare(layers):
+    # frames 0-9 all right, 10-19 all wrong, the rest with scattered flips;
+    # an odd layer count makes rows of an odd number of uint32 words
+    rng = np.random.default_rng(67)
+    b = 60
+    bits = rng.integers(0, 2, size=(b, 4 * layers)).astype(np.int8)
+    sent = bits.copy()
+    sent[10:20] ^= 1
+    sent[20:] ^= (rng.random((b - 20, 4 * layers)) < 0.05).astype(np.int8)
+    decisions = qpsk_modulate(sent)
+    demapped = np.stack([decisions.real < 0, decisions.imag < 0], axis=-1).reshape(b, -1)
+    wrong = (demapped != bits).tolist()
+    want = (sum(map(sum, wrong)), sum(map(any, wrong)))
+    assert want[1] > 10
+    assert sim._bit_errors(decisions, bits) == want
+    assert sim._bit_errors(qpsk_modulate(bits), bits) == (0, 0)
+    assert sim._bit_errors(qpsk_modulate(1 - bits), bits) == (bits.size, b)
