@@ -10,11 +10,11 @@ block and builds the recursion's compressed Gram and matched filter
 (`_compressed`) when it is made, and keeps no gains or samples: every
 other front end is built from those entries on first use (the
 recursion's starting state, the block factor of the regularized Gram,
-and that Gram's inverse).  A sweep builds one per slice of a drawn block
-(at most `sim.SLICE_SIZE` instances) and passes it as `prepared=`, with
-h = x = None and the block's alpha, to every detector, so the front ends
-are computed once per slice.  A call without `prepared` builds its own
-block, so both calls run the same code.
+and that Gram's inverse).  A sweep builds one per block and SNR point
+and passes it as `prepared=`, with h = x = None and the point's alpha,
+to every detector, so the front ends are computed once per block and
+point.  A call without `prepared` builds its own block, so both calls
+run the same code.
 
 The compressed entries come from one batched product per chunk of instances
 (`CHUNK_BYTES` of gains each), P = h^T conj([h | x1 | conj(x2)]) with

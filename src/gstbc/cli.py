@@ -29,7 +29,6 @@ from .channel import ChannelMatrix, ReceivedVector
 from .complexity import format_flop_report, run_flop_report
 from .detectors import SCALAR_DETECTORS
 from .errors import GstbcError, ParseError
-from . import sim
 from .sim import DETECTORS, SimConfig, emit_csv, format_csv, run_ber_sweep
 
 
@@ -131,15 +130,19 @@ def _cmd_ber(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
-    # a channel use counts once per detector, as in the sweep's records
-    per_point = config.trials * len(config.detectors)
-    total = per_point * len(config.snr_db)
+    # a channel use counts once per detector, as in the sweep's records;
+    # the blocks differ in size by at most one instance, so each finished
+    # (block, point) step counts as an equal share of the uses
+    total = config.trials * len(config.detectors) * len(config.snr_db)
     start = time.perf_counter()
+    steps = 0
 
     def progress(point, block, blocks):
+        nonlocal steps
         if args.quiet:
             return
-        done = point * per_point + min((block + 1) * sim.BLOCK_SIZE, config.trials) * len(config.detectors)
+        steps += 1
+        done = total * steps / (blocks * len(config.snr_db))
         rate = done / max(time.perf_counter() - start, 1e-9)
         eta = round((total - done) / rate)
         line = (

@@ -1,31 +1,31 @@
 """Monte Carlo bit-error-rate harness.
 
 Channel model: independent Rayleigh fading, flat over the two slots of
-each space-time block, redrawn per block.  SNR is Eb/N0 in dB with unit
-symbol energy (sigma_s2 = 1) and two bits per symbol, so
+each space-time block, drawn independently for each instance.  SNR is Eb/N0 in dB with
+unit symbol energy (sigma_s2 = 1) and two bits per symbol, so
 
     sigma_n2 = sigma_s2 / (2 * 10**(snr_db / 10))
 
 and the regularizer passed to the detectors is alpha = sigma_n2 /
-sigma_s2.  Each point is split into fixed-size blocks; within a block
-every detector sees the same channels, symbols and noise (common random
-numbers), and the stream for (point, block) is keyed independently so
-results do not depend on evaluation order.  A block's bits are mapped by
-`modulation.qpsk_modulate` and sent through `channel.receive`, the channel
-use that `channel.transmit` runs on one instance; errors are counted
-against `qpsk_demap` of the decisions.
+sigma_s2.  A sweep splits its trials into blocks of at most BLOCK_SIZE
+instances, of near-equal size, and block k owns the stream keyed by
+(seed, k), so the records do not depend on evaluation order.  From it a
+block's gains are drawn once, then each SNR point's bits and noise in
+grid order: every point of a sweep sees the same channels (common random
+numbers), and within a point every detector sees the same channels,
+symbols and noise.  Each point's BER keeps its distribution, but
+adjacent points are positively correlated, so their differences and
+`snr_at_ber`'s interpolation are less noisy than with independent draws.
+A point's bits are mapped by `modulation.qpsk_modulate` and sent through
+`channel.receive`, the channel use that `channel.transmit` runs on one
+instance; errors are counted against `qpsk_demap` of the decisions.
 
-A block is drawn into separate arrays of at most SLICE_SIZE instances
-each, and detected a slice at a time.  Each slice is wrapped once in a
-`batch.PreparedBlock`, so the detectors share its checks and front ends
-(the recursion's compressed entries and starting state, the Gram's
-block factor and its inverse) instead of each rebuilding them.  Every
-slice's block, which holds its compressed entries and no gains or
-samples, is built before any detector runs, and a slice's other front
-ends are dropped before the next slice.  Every detector treats each
-instance on its own, so the records do not depend on the slicing, and a
-sweep's memory is bounded by the larger of one draw and one block's
-compressed entries plus one slice's front ends.
+Each (block, point) is wrapped once in a `batch.PreparedBlock`, so the
+detectors share its checks and front ends (the recursion's compressed
+entries and starting state, the Gram's block factor and its inverse)
+instead of each rebuilding them, and its front ends are dropped before
+the next point.  A sweep's memory is bounded by one block's gains plus
+one point's draw and front ends.
 """
 
 from __future__ import annotations
@@ -43,14 +43,11 @@ from .channel import keyed_generator, receive
 from .errors import ConfigInvalid, GstbcError, ParseError
 from .modulation import qpsk_demap, qpsk_modulate
 
-BLOCK_SIZE = 25_000
-# instances that a sweep's detectors take at once.  Of 2,048, 4,096 and
-# 8,192 (one BLAS thread), this swept 3-14% faster than either other size
-# at (8, 8) and (16, 16) with proposed, fixed_order and linear_mmse, and as
-# fast as 8,192 at (2, 8) with all five detectors
-SLICE_SIZE = 4_096
-# normals per fill of the draw's float buffer: 128 KiB, which stays in cache
-_DRAW_CHUNK = 16_384
+BLOCK_SIZE = 4_096
+# the most instances a block holds, which its detectors take at once.  Of
+# 2,048, 4,096 and 8,192 (one BLAS thread), this swept 3-14% faster than
+# either other size at (8, 8) and (16, 16) with proposed, fixed_order and
+# linear_mmse, and as fast as 8,192 at (2, 8) with all five detectors
 
 _SCALE = 1.0 / math.sqrt(2.0)
 
@@ -130,49 +127,36 @@ def sigma_n2_for_snr(snr_db: float, sigma_s2: float = 1.0) -> float:
     return sigma_s2 / (2.0 * 10.0 ** (snr_db / 10.0))
 
 
-def _draw_block(rng, count, layers, n_rx, sigma_n2, slice_size=None):
-    """One block of `count` channels, bit streams, symbols and stacked
-    received vectors: four arrays, or with `slice_size` four lists of
-    arrays of at most that many instances each.
+def _draw_gains(rng, count, layers, n_rx):
+    """`count` channels of (N, 2M) gains, `(n1 + 1j*n2) * _SCALE` with each
+    gain's two normals adjacent in the stream: one `standard_normal` call,
+    scaled in place and seen as complex128."""
+    n = rng.standard_normal((count, n_rx, 2 * layers, 2))
+    n *= _SCALE
+    return n.view(np.complex128)[..., 0]
 
-    The gains are `(n1 + 1j*n2) * _SCALE` and the slot noise
-    `(n3 + 1j*n4) * sqrt(sigma_n2 / 2)`, with n1, n2, bits, n3, n4 drawn
-    in that order over the whole block, each a slice after another, so
-    the slicing changes no value.  Each part is filled in place from one
-    reused float buffer, which takes the stream exactly as one
-    `standard_normal` call per part would and gives the same bits without
-    complex temporaries.  The bits are one `integers` call per slice: two
-    per instance and symbol, an even count, which takes the stream as one
-    call over the block does.  Each slice's noise becomes its samples in
-    place (`receive`).
+
+def _draw_uses(rng, h, sigma_n2):
+    """One channel use per instance of the gains `h`: the bit streams, their
+    symbols and the stacked received vectors.
+
+    The bits are one int8 `integers` call, two per symbol; the slot noise
+    is drawn as the gains are, scaled by sqrt(sigma_n2 / 2), and becomes
+    the samples in place (`receive`).
     """
-    step = slice_size or count
-    sizes = [min(step, count - lo) for lo in range(0, count, step)]
-    two_m = 2 * layers
-    buf = np.empty(_DRAW_CHUNK)
-    h = [np.empty((c, n_rx, two_m), dtype=np.complex128) for c in sizes]
-    _fill_normals(rng, h, _SCALE, buf)
-    bits = [rng.integers(0, 2, size=(c, 2 * two_m)).astype(np.int8) for c in sizes]
-    s = [qpsk_modulate(b) for b in bits]
-    noise = [np.empty((c, n_rx, 2), dtype=np.complex128) for c in sizes]
-    _fill_normals(rng, noise, math.sqrt(sigma_n2 / 2.0), buf)
-    x = list(map(receive, h, s, noise))
-    if slice_size is None:
-        return h[0], bits[0], s[0], x[0]
-    return h, bits, s, x
+    count, n_rx, two_m = h.shape
+    bits = rng.integers(0, 2, size=(count, 2 * two_m), dtype=np.int8)
+    s = qpsk_modulate(bits)
+    noise = rng.standard_normal((count, n_rx, 2, 2))
+    noise *= math.sqrt(sigma_n2 / 2.0)
+    return bits, s, receive(h, s, noise.view(np.complex128)[..., 0])
 
 
-def _fill_normals(rng, arrays, scale, buf):
-    """Set the real parts of the complex arrays, one array after another,
-    then their imaginary parts, to `scale` times standard normals in C
-    order, drawn through `buf`."""
-    flats = [a.reshape(-1) for a in arrays]
-    for parts in ([f.real for f in flats], [f.imag for f in flats]):
-        for part in parts:
-            for lo in range(0, part.size, buf.size):
-                chunk = buf[: part.size - lo]
-                rng.standard_normal(out=chunk)
-                np.multiply(chunk, scale, out=part[lo : lo + chunk.size])
+def _draw_block(rng, count, layers, n_rx, sigma_n2):
+    """One block's gains and one point's uses on them, from one stream, as
+    a sweep draws a block's first point: (h, bits, s, x)."""
+    h = _draw_gains(rng, count, layers, n_rx)
+    return (h, *_draw_uses(rng, h, sigma_n2))
 
 
 def _bit_errors(decisions, bits):
@@ -189,79 +173,51 @@ def _bit_errors(decisions, bits):
     return np.count_nonzero(wrong), np.count_nonzero(reduce(np.bitwise_or, words.T))
 
 
-def _tally_block(names, tally, h, bits, x, alpha, where):
-    """Add each named detector's bit and frame errors on one drawn block,
-    given as lists of slices of at most SLICE_SIZE instances, to `tally`.
-
-    Every slice's block is built first, and `h` and `x` are emptied as
-    that goes, so no gains are held through detection; each slice is then
-    detected from its block alone (`prepared=` with h = x = None) and its
-    front ends are dropped before the next slice.  A `GstbcError` of a
-    detector is raised again, as the same type, with the detector, `where`
-    (the point and block) and the slice's instances.
-    """
-    blocks = [PreparedBlock(h.pop(0), x.pop(0), alpha) for _ in range(len(h))]
-    lo = 0
-    for bs in bits:
-        block = blocks.pop(0)
-        hi = lo + len(bs)
-        for name in names:
-            try:
-                out = DETECTORS[name](None, None, alpha, prepared=block)
-            except GstbcError as err:
-                raise type(err)(f"{name} at {where}, instances {lo}-{hi - 1}: {err}") from err
-            errs, ferrs = _bit_errors(out.decisions, bs)
-            t = tally[name]
-            t[0] += bs.size
-            t[1] += errs
-            t[2] += bs.shape[0]
-            t[3] += ferrs
-        # the slice's front ends must not stay alive through the next slice
-        del block, out
-        lo = hi
-
-
 def run_ber_sweep(config: SimConfig, progress=None) -> list:
     """Sweep SNR points, returning one record per (detector, point).
 
-    Exactly `config.trials` channel uses are simulated per point, in
-    blocks of at most BLOCK_SIZE; block (point_idx, block_idx) owns an
-    independently keyed stream, so the output is a pure function of the
-    config regardless of evaluation order.  A detector failure raises its
-    `GstbcError` naming the detector, point, block and instances.
+    Exactly `config.trials` channel uses are simulated per point.  Block
+    k of `blocks` covers trials [trials*k//blocks, trials*(k+1)//blocks)
+    and is drawn from `keyed_generator(seed, k)`: its gains once, then
+    each point's bits and noise in grid order.  `progress(point, block,
+    blocks)` is called after each (block, point), block-outer.  A detector
+    failure raises its `GstbcError` again, as the same type, naming the
+    detector, point, block and the block's trials.
     """
-    records = []
-    blocks = math.ceil(config.trials / BLOCK_SIZE)
-    for point_idx, snr_db in enumerate(config.snr_db):
-        sigma_n2 = sigma_n2_for_snr(snr_db, config.sigma_s2)
-        alpha = sigma_n2 / config.sigma_s2
-        tally = {d: [0, 0, 0, 0] for d in config.detectors}  # bits, errs, frames, ferrs
-        for block_idx in range(blocks):
-            count = min(BLOCK_SIZE, config.trials - block_idx * BLOCK_SIZE)
-            rng = keyed_generator(config.seed, point_idx, block_idx)
-            h, bits, s, x = _draw_block(
-                rng, count, config.layers, config.n_rx, sigma_n2, SLICE_SIZE
-            )
-            del s
-            _tally_block(config.detectors, tally, h, bits, x, alpha, f"{snr_db:g} dB, block {block_idx}")
-            # the drawn block must not stay alive through the next draw
-            del h, bits, x
+    n = config.trials
+    blocks = math.ceil(n / BLOCK_SIZE)
+    variances = [sigma_n2_for_snr(snr_db, config.sigma_s2) for snr_db in config.snr_db]
+    # bits, errs, frames, ferrs of each (point, detector)
+    tally = [{d: [0, 0, 0, 0] for d in config.detectors} for _ in variances]
+    for block_idx in range(blocks):
+        lo, hi = n * block_idx // blocks, n * (block_idx + 1) // blocks
+        rng = keyed_generator(config.seed, block_idx)
+        h = _draw_gains(rng, hi - lo, config.layers, config.n_rx)
+        for point_idx, sigma_n2 in enumerate(variances):
+            alpha = sigma_n2 / config.sigma_s2
+            bits, _, x = _draw_uses(rng, h, sigma_n2)
+            block = PreparedBlock(h, x, alpha)
+            for name in config.detectors:
+                try:
+                    out = DETECTORS[name](None, None, alpha, prepared=block)
+                except GstbcError as err:
+                    where = f"{config.snr_db[point_idx]:g} dB, block {block_idx}, instances {lo}-{hi - 1}"
+                    raise type(err)(f"{name} at {where}: {err}") from err
+                errs, ferrs = _bit_errors(out.decisions, bits)
+                t = tally[point_idx][name]
+                t[0] += bits.size
+                t[1] += errs
+                t[2] += hi - lo
+                t[3] += ferrs
+            # the point's front ends must not stay alive through the next draw
+            del block, out
             if progress is not None:
                 progress(point_idx, block_idx, blocks)
-        for name in config.detectors:
-            nbits, errs, frames, ferrs = tally[name]
-            records.append(
-                BerRecord(
-                    detector=name,
-                    snr_db=float(snr_db),
-                    bits=nbits,
-                    bit_errors=errs,
-                    ber=errs / nbits,
-                    frames=frames,
-                    frame_errors=ferrs,
-                )
-            )
-    return records
+    return [
+        BerRecord(name, float(snr_db), nbits, errs, errs / nbits, frames, ferrs)
+        for snr_db, counts in zip(config.snr_db, tally)
+        for name, (nbits, errs, frames, ferrs) in counts.items()
+    ]
 
 
 _CSV_COLUMNS = "detector,snr_db,bits,bit_errors,ber,frames,frame_errors"

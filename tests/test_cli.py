@@ -215,6 +215,18 @@ def test_ber_command_stdout_and_file(tmp_path, capsys):
     assert shown.out == first
     assert "block 1/1" in shown.err and "channel uses/s" in shown.err and "ETA" in shown.err
 
+    # two blocks of two points: the line counts finished (block, point)
+    # steps, so the last one is block 2/2 with nothing left
+    two = ["ber", "--m", "2", "--n", "2", "--snr-start", "0", "--snr-stop", "4",
+           "--snr-step", "4", "--trials", "5000", "--seed", "3"]
+    assert main(two) == 0
+    lines = [ln.strip() for ln in capsys.readouterr().err.split("\r") if ln.strip()]
+    assert [ln.split("  ")[0] for ln in lines] == [
+        "snr point 1/2 block 1/2", "snr point 2/2 block 1/2",
+        "snr point 1/2 block 2/2", "snr point 2/2 block 2/2",
+    ]
+    assert lines[-1].endswith("ETA 0:00")
+
 
 def test_ber_command_rejects_bad_config(capsys):
     base = ["ber", "--m", "2", "--n", "2", "--trials", "10", "--quiet"]

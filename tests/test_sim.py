@@ -120,93 +120,116 @@ def test_shared_block_sweep_matches_one_detector_sweeps(monkeypatch):
     assert len(shared) == 10 and all(r.frames == 100 for r in shared)
 
 
-def test_slicing_changes_no_record(monkeypatch):
-    # a slice that does not divide the block gives the records of whole
-    # blocks, and no block the sweep prepares holds more than a slice
+def test_every_point_of_a_block_detects_the_same_channels(monkeypatch):
+    # a block's gains are drawn once and serve every point: the compressed
+    # off-diagonal Gram entries, which alpha does not touch, are bytewise
+    # equal at each point of block 0, and the noise makes the points differ
     monkeypatch.setattr(sim, "BLOCK_SIZE", 40)
-    sizes = []
+    real = sim.DETECTORS["proposed"]
+    seen = []
 
-    class Counted(batch.PreparedBlock):
+    def records_entries(h, x, alpha, prepared=None):
+        rbar, z = prepared.compressed
+        seen.append(([a.tobytes() for blk in rbar.upper for a in blk], z[0].tobytes()))
+        return real(h, x, alpha, prepared=prepared)
+
+    monkeypatch.setitem(sim.DETECTORS, "proposed", records_entries)
+    cfg = SimConfig(layers=3, n_rx=4, snr_db=(-2.0, 3.0, 8.0), trials=100, seed=31)
+    run_ber_sweep(cfg)
+    assert len(seen) == 3 * 3  # three blocks of three points, block-outer
+    (first, z0), *rest = seen[:3]
+    assert len(first) == 2 * 3 and all(upper == first for upper, _ in rest)
+    assert all(z != z0 for _, z in rest)
+    assert seen[3][0] != first
+
+
+def test_a_blocks_first_point_is_the_draw_of_its_stream(monkeypatch):
+    # block b of 3 (33, 33 and 34 instances) holds the gains, samples and
+    # bits of `_draw_block` on the stream keyed by (seed, b) at its first
+    # point
+    monkeypatch.setattr(sim, "BLOCK_SIZE", 40)
+    drawn = []
+
+    class Recorded(batch.PreparedBlock):
         def __init__(self, h, x, alpha):
-            sizes.append(len(h))
+            drawn.append([h.copy(), x.copy()])
             super().__init__(h, x, alpha)
 
-    monkeypatch.setattr(sim, "PreparedBlock", Counted)
-    for layers, n_rx in ((2, 3), (3, 4)):
-        cfg = SimConfig(layers=layers, n_rx=n_rx, snr_db=(-2.0, 3.0),
-                        detectors=tuple(sim.DETECTORS), trials=100, seed=23)
-        monkeypatch.setattr(sim, "SLICE_SIZE", 40)
-        whole = run_ber_sweep(cfg)
-        monkeypatch.setattr(sim, "SLICE_SIZE", 7)
-        sizes.clear()
-        assert run_ber_sweep(cfg) == whole
-        assert max(sizes) == 7 and sum(sizes) == 2 * 100
-        assert len(whole) == 10 and all(r.frames == 100 for r in whole)
+    real_errors = sim._bit_errors
+
+    def bit_errors(decisions, bits):
+        drawn[-1].append(bits.copy())
+        return real_errors(decisions, bits)
+
+    monkeypatch.setattr(sim, "PreparedBlock", Recorded)
+    monkeypatch.setattr(sim, "_bit_errors", bit_errors)
+    cfg = SimConfig(layers=2, n_rx=3, snr_db=(1.0, 5.0), trials=100, seed=37)
+    run_ber_sweep(cfg)
+    assert len(drawn) == 3 * 2
+    sigma_n2 = sigma_n2_for_snr(1.0)
+    for b, count in enumerate((33, 33, 34)):
+        h, x, bits = drawn[2 * b]
+        want_h, want_bits, _, want_x = sim._draw_block(keyed_generator(37, b), count, 2, 3, sigma_n2)
+        for got, want in ((h, want_h), (x, want_x), (bits, want_bits)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), b
 
 
-def test_detector_failure_names_detector_point_block_and_slice(monkeypatch):
+def test_detector_failure_names_detector_point_and_block(monkeypatch):
     monkeypatch.setattr(sim, "BLOCK_SIZE", 40)
-    monkeypatch.setattr(sim, "SLICE_SIZE", 16)
     real = sim.DETECTORS["linear_mmse"]
     calls = []
 
-    def fails_on_third_slice(h, x, alpha, prepared=None):
-        # the sweep's blocks hold no gains, so the slice size is read from
+    def fails_on_third_block(h, x, alpha, prepared=None):
+        # the sweep's blocks hold no gains, so the block size is read from
         # the compressed entries
         calls.append(len(prepared.compressed[0].diag[0]))
         if len(calls) == 3:
             raise SingularPivot("pivot vanishes")
         return real(h, x, alpha, prepared=prepared)
 
-    monkeypatch.setitem(sim.DETECTORS, "linear_mmse", fails_on_third_slice)
+    monkeypatch.setitem(sim.DETECTORS, "linear_mmse", fails_on_third_block)
     cfg = SimConfig(layers=2, n_rx=2, snr_db=(2.0,), detectors=("proposed", "linear_mmse"), trials=100, seed=3)
     with pytest.raises(SingularPivot) as info:
         run_ber_sweep(cfg)
-    assert str(info.value) == "linear_mmse at 2 dB, block 0, instances 32-39: pivot vanishes"
+    # 100 trials make three blocks of near-equal size, not 40 + 40 + 20
+    assert str(info.value) == "linear_mmse at 2 dB, block 2, instances 66-99: pivot vanishes"
     assert isinstance(info.value.__cause__, SingularPivot)
-    assert calls == [16, 16, 8]
+    assert calls == [33, 33, 34]
 
 
 def _composite_draw(rng, count, layers, n_rx, sigma_n2):
-    """The draw as whole-array normals and complex arithmetic."""
-    shape = (count, n_rx, 2 * layers)
-    h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * sim._SCALE
-    bits = rng.integers(0, 2, size=(count, 4 * layers)).astype(np.int8)
+    """The draw as flat normals and complex arithmetic: each gain's and each
+    noise sample's real and imaginary parts are adjacent in the stream."""
+    pairs = rng.standard_normal(count * n_rx * 2 * layers * 2).reshape(count, n_rx, 2 * layers, 2)
+    h = (pairs[..., 0] + 1j * pairs[..., 1]) * sim._SCALE
+    bits = rng.integers(0, 2, size=(count, 4 * layers), dtype=np.int8)
     s = qpsk_modulate(bits)
-    slots = (count, n_rx, 2)
-    noise = (rng.standard_normal(slots) + 1j * rng.standard_normal(slots)) * math.sqrt(sigma_n2 / 2.0)
+    pairs = rng.standard_normal(count * n_rx * 2 * 2).reshape(count, n_rx, 2, 2)
+    noise = (pairs[..., 0] + 1j * pairs[..., 1]) * math.sqrt(sigma_n2 / 2.0)
     return h, bits, s, receive(h, s, noise)
 
 
 @pytest.mark.parametrize("layers,n_rx", [(1, 1), (2, 8), (8, 8)])
 @pytest.mark.parametrize("sigma_n2", [0.0, 0.35])
 def test_draw_is_bytewise_the_composite_draw(layers, n_rx, sigma_n2):
-    # 1,501 instances at (8, 8) fill the draw's buffer 12 times per part;
-    # drawn whole or in slices of 1 or 7 (the last one partial), each
-    # array put back together is bytewise the composite draw's
     count = 1501
-    old = _composite_draw(keyed_generator(9, 1, 2), count, layers, n_rx, sigma_n2)
-    new = sim._draw_block(keyed_generator(9, 1, 2), count, layers, n_rx, sigma_n2)
+    old = _composite_draw(keyed_generator(9, 2), count, layers, n_rx, sigma_n2)
+    new = sim._draw_block(keyed_generator(9, 2), count, layers, n_rx, sigma_n2)
     for a, b in zip(new, old):
         assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.flags.c_contiguous
         assert a.tobytes() == b.tobytes()
-    for size in (1, 7, count):
-        sliced = sim._draw_block(keyed_generator(9, 1, 2), count, layers, n_rx, sigma_n2, size)
-        for parts, b in zip(sliced, old):
-            assert [len(a) for a in parts] == [min(size, count - lo) for lo in range(0, count, size)]
-            assert all(a.flags.c_contiguous for a in parts)
-            a = np.concatenate(parts)
-            assert a.dtype == b.dtype and a.shape == b.shape
-            assert a.tobytes() == b.tobytes(), size
 
 
-def test_sweep_memory_is_bounded_by_a_slice():
+def test_sweep_memory_is_bounded_by_a_block():
     # the traced peak of one point.  (8, 8), 10,000 trials: holding the
-    # whole block's front ends at once traced 98 MiB, a slice at a time
-    # with the block's gains held through detection 51.8 MiB, and with
-    # the gains dropped once the compressed entries exist 30.3 MiB.
-    # (2, 8), 25,000 trials, five detectors: 32.4 MiB holding the gains,
-    # 21.0 MiB without.  The bounds were fixed before the first run
+    # whole point's front ends at once traced 98 MiB, and drawing the
+    # point whole but detecting it 4,096 instances at a time 30.3 MiB;
+    # a block of at most 4,096 instances, its gains held through its
+    # points, traces 26.9 MiB.  (2, 8), 25,000 trials, five detectors:
+    # 21.0 MiB drawn whole, 8.0 MiB by blocks.  The bounds were fixed
+    # before the first run
     for layers, detectors, trials, bound_mib in (
         (8, ("proposed", "fixed_order", "linear_mmse"), 10_000, 40),
         (2, tuple(sim.DETECTORS), 25_000, 26),
@@ -222,11 +245,13 @@ def test_sweep_memory_is_bounded_by_a_slice():
 
 
 def test_seed_changes_output():
+    # the two seeds' bit error counts may tie by chance (both are 18 here),
+    # so the drawn gains and the whole records are compared
     base = SimConfig(layers=2, n_rx=2, snr_db=(4.0,), trials=500, seed=0)
     other = SimConfig(layers=2, n_rx=2, snr_db=(4.0,), trials=500, seed=1)
-    (a,) = run_ber_sweep(base)
-    (b,) = run_ber_sweep(other)
-    assert a.bit_errors != b.bit_errors
+    gains = [sim._draw_gains(keyed_generator(c.seed, 0), c.trials, c.layers, c.n_rx) for c in (base, other)]
+    assert gains[0].tobytes() != gains[1].tobytes()
+    assert run_ber_sweep(base) != run_ber_sweep(other)
 
 
 def test_progress_callback_sees_every_block(monkeypatch):
@@ -234,8 +259,9 @@ def test_progress_callback_sees_every_block(monkeypatch):
     cfg = SimConfig(layers=2, n_rx=2, snr_db=(0.0, 5.0), trials=100, seed=2)
     calls = []
     run_ber_sweep(cfg, progress=lambda p, b, n: calls.append((p, b, n)))
-    assert calls == [(0, 0, 4), (0, 1, 4), (0, 2, 4), (0, 3, 4),
-                     (1, 0, 4), (1, 1, 4), (1, 2, 4), (1, 3, 4)]
+    # block-outer: every point of a block before the next block
+    assert calls == [(0, 0, 4), (1, 0, 4), (0, 1, 4), (1, 1, 4),
+                     (0, 2, 4), (1, 2, 4), (0, 3, 4), (1, 3, 4)]
 
 
 def test_csv_roundtrip(tmp_path):
@@ -339,8 +365,8 @@ def test_detector_dominance_on_shared_randomness():
 @pytest.mark.parametrize("layers, trials, snr_db", [(8, 2_000, (0.0,)), (16, 500, (-6.0, 0.0))])
 def test_sic_groupwise_makes_proposed_errors_at_large_sizes(layers, trials, snr_db):
     # the dense group-wise reference is the same detection rule bit for bit
-    # at (8, 8) and (16, 16) as well, on the sweeps of CI's console runs (a
-    # record does not depend on which other detectors run)
+    # at (8, 8) and (16, 16) as well, the latter on the sweep of CI's
+    # console run (a record does not depend on which other detectors run)
     cfg = SimConfig(layers=layers, n_rx=layers, snr_db=snr_db, trials=trials, seed=0,
                     detectors=("proposed", "sic_groupwise"))
     recs = run_ber_sweep(cfg)

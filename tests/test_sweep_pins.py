@@ -1,12 +1,13 @@
 """The sweep's records, pinned byte for byte.
 
 `sweep_pins.csv` holds `format_csv` of the three sweeps below, one after
-another.  They cover every batch detector, a point of two blocks whose
-last block is a short slice ((2, 8) at 26,000 trials: 25,000 + 1,000
-instances), the structured engine at (8, 8), and an odd layer count
-((3, 4)).  A change to how the draw, the detectors, the slicer or the
-tally is written must leave every count unchanged; the other sweep tests
-check only properties of the records.
+another.  They cover every batch detector, blocks of unequal size
+((2, 8) at 26,000 trials: 7 blocks of 3,714 or 3,715 instances), the
+structured engine at (8, 8) (9,000 trials: 3 blocks), and an odd layer
+count ((3, 4), 5,000 trials: 2 blocks), each over two SNR points that
+share their blocks' gains.  A change to how the draw, the detectors, the
+slicer or the tally is written must leave every count unchanged; the
+other sweep tests check only properties of the records.
 """
 
 from pathlib import Path
